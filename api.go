@@ -263,9 +263,10 @@ func (cs CompiledSchedule) Steps() int {
 // CompiledSchedules returns the schedc-compiled and spectral runners
 // registered in the conformance registry, in registration order. The
 // set spans the joint (tile, K, backend) schedule space: classic
-// single-step schedules, the temporal families over K in {1,2,4} and
-// tile edges {box,16,32}, and the FFT spectral backends over K in
-// {1,2,4,8,16}.
+// single-step schedules, the temporal runners over K in {1,2,4} each
+// bound to the tile edges {box,16,32} (one generated function per K,
+// taking the edge as an argument), and the FFT spectral backends over K
+// in {1,2,4,8,16}.
 func CompiledSchedules() []CompiledSchedule {
 	var out []CompiledSchedule
 	for _, r := range conform.Registry() {

@@ -31,6 +31,10 @@ func BoxParamNames() []string {
 // outermost first (the (z, y, x) nest of the hand-written families).
 func LoopVarNames() []string { return []string{"z", "y", "x"} }
 
+// TileVarNames names the tile-origin loop dimensions of tiled programs,
+// outermost first.
+func TileVarNames() []string { return []string{"tz", "ty", "tx"} }
+
 // BoxParamValues binds the parameter dimensions to a concrete box.
 func BoxParamValues(b box.Box) []int {
 	return []int{b.Lo[0], b.Hi[0], b.Lo[1], b.Hi[1], b.Lo[2], b.Hi[2]}
@@ -218,16 +222,97 @@ type StmtDesc struct {
 
 // ProgramDesc is a complete serializable What/When/Where description of one
 // schedule family pass: loop variables (outermost first), temporaries, and
-// scheduled statements. TileEdge, when nonzero, marks the leading
-// len(Vars)-3 variables as tile-origin loops of that edge length
-// (overlapped-tile schedules).
+// scheduled statements. Tiled marks the leading three variables as the
+// tile-origin loops (tz, ty, tx) of an overlapped-tile schedule, and adds
+// the tile edge TileEdgeParam after the box corners in every domain (see
+// TileDomainDesc).
 type ProgramDesc struct {
-	Name     string       `json:"name"`
-	Dir      int          `json:"dir"`
-	Vars     []string     `json:"vars"`
-	TileEdge int          `json:"tile_edge,omitempty"`
-	Buffers  []BufferDesc `json:"buffers"`
-	Stmts    []StmtDesc   `json:"stmts"`
+	Name    string       `json:"name"`
+	Dir     int          `json:"dir"`
+	Vars    []string     `json:"vars"`
+	Tiled   bool         `json:"tiled,omitempty"`
+	Buffers []BufferDesc `json:"buffers"`
+	Stmts   []StmtDesc   `json:"stmts"`
+}
+
+// TileEdgeParam names the tile-edge parameter of tiled programs.
+const TileEdgeParam = "E"
+
+// ParamNames names the program's parameter dimensions, in domain order:
+// the box corners, then the tile edge when the program is tiled.
+func (pd *ProgramDesc) ParamNames() []string {
+	if pd.Tiled {
+		return append(BoxParamNames(), TileEdgeParam)
+	}
+	return BoxParamNames()
+}
+
+// TileDomainDesc builds the domain of one statement of a tiled program
+// over the box corners and the tile edge E, the tile-origin loops
+// (tz, ty, tx), a sub-step loop k in [0, kHi] when timeAxis is set, and the
+// spatial loops (z, y, x). A tile origin lies in the valid box and steps
+// by E from its low corner — the stride belongs to the emitted loop, so
+// every constraint stays affine in E. Each axis is confined to its tile
+// [t, t+E-1] clipped to the valid box, both grown on every side by
+// growConst + growK*k and extended by ext[axis] on the high side (the
+// tile's face box). Faces on shared tile surfaces, and the growth, belong
+// to every tile that consumes them: the overlapped-tile recomputation.
+func TileDomainDesc(timeAxis bool, growConst, growK int, ext [3]int, kHi int) SetDesc {
+	const eIdx = NumBoxParams // the tile edge follows the box corners
+	const tIdx = eIdx + 1     // first tile-origin variable
+	kIdx, vIdx := tIdx+3, tIdx+3
+	if timeAxis {
+		vIdx++ // the spatial loops follow the sub-step loop
+	}
+	dim := vIdx + 3
+	d := SetDesc{Dim: dim}
+	add := func(coef []int, c int) {
+		d.Cons = append(d.Cons, AffineDesc{Coef: coef, Const: c})
+	}
+	// spatial starts the coefficients of a spatial bound, which grows with
+	// the sub-step by growK per k.
+	spatial := func() []int {
+		coef := make([]int, dim)
+		if timeAxis {
+			coef[kIdx] = growK
+		}
+		return coef
+	}
+	if timeAxis {
+		// k >= 0 and k <= kHi.
+		k0 := make([]int, dim)
+		k0[kIdx] = 1
+		add(k0, 0)
+		k1 := make([]int, dim)
+		k1[kIdx] = -1
+		add(k1, kHi)
+	}
+	for lvl := 0; lvl < 3; lvl++ {
+		axis := 2 - lvl // loop order z, y, x
+		ti, li := tIdx+lvl, vIdx+lvl
+		// lo <= t <= hi: only tiles whose origin lies in the valid box
+		// exist — otherwise the face extension would admit a phantom
+		// boundary tile computing faces no cell consumes.
+		t0 := make([]int, dim)
+		t0[ti], t0[2*axis] = 1, -1
+		add(t0, 0)
+		t1 := make([]int, dim)
+		t1[ti], t1[2*axis+1] = -1, 1
+		add(t1, 0)
+		// v >= t - grow(k) (tile low edge)
+		tl := spatial()
+		tl[li], tl[ti] = 1, -1
+		add(tl, growConst)
+		// v <= t + E-1 + grow(k) + ext (tile high edge)
+		th := spatial()
+		th[li], th[ti], th[eIdx] = -1, 1, 1
+		add(th, growConst+ext[axis]-1)
+		// v <= hi + grow(k) + ext (tile clipped to the valid box)
+		vh := spatial()
+		vh[li], vh[2*axis+1] = -1, 1
+		add(vh, growConst+ext[axis])
+	}
+	return d
 }
 
 // BoxDomainDesc builds the parametric domain of the valid box with each

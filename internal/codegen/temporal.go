@@ -32,18 +32,16 @@ func TemporalVarNames() []string { return []string{"k", "z", "y", "x"} }
 // temporalDomain builds the parametric domain of one temporal statement.
 // The spatial range at sub-step k is the valid box grown on every side by
 // growConst + growK*k (face-extended by ext on the high side), with k in
-// [0, kHi]. When tileEdge > 0 the domain gains three leading tile-origin
-// variables (tz, ty, tx) and each axis is confined to its tile grown by
-// the same amount — every tile computes the full shrinking wavefront of
-// its own cells, recomputing shared shell values (the overlapped-tile
-// trade extended in time).
-func temporalDomain(tileEdge, growConst, growK int, ext [3]int, kHi int) SetDesc {
-	tvars := 0
-	if tileEdge > 0 {
-		tvars = 3
+// [0, kHi]. A tiled domain confines each axis to its tile grown by the
+// same amount (TileDomainDesc): every tile computes the full shrinking
+// wavefront of its own cells, recomputing shared shell values (the
+// overlapped-tile trade extended in time).
+func temporalDomain(tiled bool, growConst, growK int, ext [3]int, kHi int) SetDesc {
+	if tiled {
+		return TileDomainDesc(true, growConst, growK, ext, kHi)
 	}
-	dim := NumBoxParams + tvars + 1 + 3
-	kIdx := NumBoxParams + tvars
+	dim := NumBoxParams + 1 + 3
+	kIdx := NumBoxParams
 	d := SetDesc{Dim: dim}
 	add := func(coef []int, c int) {
 		d.Cons = append(d.Cons, AffineDesc{Coef: coef, Const: c})
@@ -57,40 +55,15 @@ func temporalDomain(tileEdge, growConst, growK int, ext [3]int, kHi int) SetDesc
 	add(k1, kHi)
 	for lvl := 0; lvl < 3; lvl++ {
 		axis := 2 - lvl // loop order z, y, x
-		li := NumBoxParams + tvars + 1 + lvl
-		if tileEdge > 0 {
-			E := tileEdge
-			ti := NumBoxParams + lvl
-			// v >= lo + E*t - grow(k)
-			tl := make([]int, dim)
-			tl[li], tl[2*axis], tl[ti], tl[kIdx] = 1, -1, -E, growK
-			add(tl, growConst)
-			// v <= lo + E*t + E-1 + grow(k) + ext (tile high edge)
-			th := make([]int, dim)
-			th[li], th[2*axis], th[ti], th[kIdx] = -1, 1, E, growK
-			add(th, E-1+growConst+ext[axis])
-			// v <= hi + grow(k) + ext (tile clipped to the valid box)
-			vh := make([]int, dim)
-			vh[li], vh[2*axis+1], vh[kIdx] = -1, 1, growK
-			add(vh, growConst+ext[axis])
-			// t >= 0 and lo + E*t <= hi: only tiles whose origin lies in
-			// the valid box exist.
-			t0 := make([]int, dim)
-			t0[ti] = 1
-			add(t0, 0)
-			t1 := make([]int, dim)
-			t1[ti], t1[2*axis], t1[2*axis+1] = -E, -1, 1
-			add(t1, 0)
-		} else {
-			// v >= lo - grow(k)
-			lo := make([]int, dim)
-			lo[li], lo[2*axis], lo[kIdx] = 1, -1, growK
-			add(lo, growConst)
-			// v <= hi + grow(k) + ext
-			hi := make([]int, dim)
-			hi[li], hi[2*axis+1], hi[kIdx] = -1, 1, growK
-			add(hi, growConst+ext[axis])
-		}
+		li := kIdx + 1 + lvl
+		// v >= lo - grow(k)
+		lo := make([]int, dim)
+		lo[li], lo[2*axis], lo[kIdx] = 1, -1, growK
+		add(lo, growConst)
+		// v <= hi + grow(k) + ext
+		hi := make([]int, dim)
+		hi[li], hi[2*axis+1], hi[kIdx] = -1, 1, growK
+		add(hi, growConst+ext[axis])
 	}
 	return d
 }
@@ -103,18 +76,19 @@ func temporalDomain(tileEdge, growConst, growK int, ext [3]int, kHi int) SetDesc
 // region grown by (K-1-k)*NGhost. Two k==0 statement groups bracket the
 // sweep: scopy seeds the state from phi0 over the deepest grown box, and
 // sdelta accumulates state - phi0 into phi1 over the valid box (the
-// K-step delta contract of internal/temporal). tileEdge > 0 adds three
-// tile-origin loops outside the time loop with all temporaries tile-local.
-func TemporalProg(k, tileEdge int) ProgramDesc {
+// K-step delta contract of internal/temporal). tiled adds the three
+// tile-origin loops outside the time loop, stepping by the tile-edge
+// parameter, with all temporaries tile-local.
+func TemporalProg(k int, tiled bool) ProgramDesc {
 	if k < 1 {
 		panic(fmt.Sprintf("codegen: temporal depth %d must be positive", k))
 	}
 	ng := kernel.NGhost
 	tvars := 0
 	vars := TemporalVarNames()
-	if tileEdge > 0 {
+	if tiled {
 		tvars = 3
-		vars = append([]string{"tz", "ty", "tx"}, vars...)
+		vars = append(TileVarNames(), vars...)
 	}
 	nv := len(vars)
 	sched := func(group, seq int) ScheduleDesc {
@@ -123,14 +97,14 @@ func TemporalProg(k, tileEdge int) ProgramDesc {
 		pos[tvars+1] = seq // statement sequence within one sub-step
 		return ScatterDesc(nv, pos...)
 	}
-	cells := temporalDomain(tileEdge, (k-1)*ng, -ng, [3]int{}, k-1)
-	copyDom := temporalDomain(tileEdge, k*ng, 0, [3]int{}, 0)
-	deltaDom := temporalDomain(tileEdge, 0, 0, [3]int{}, 0)
+	cells := temporalDomain(tiled, (k-1)*ng, -ng, [3]int{}, k-1)
+	copyDom := temporalDomain(tiled, k*ng, 0, [3]int{}, 0)
+	deltaDom := temporalDomain(tiled, 0, 0, [3]int{}, 0)
 
 	pd := ProgramDesc{
-		Name:     fmt.Sprintf("temporal-k%d", k),
-		Vars:     vars,
-		TileEdge: tileEdge,
+		Name:  fmt.Sprintf("temporal-k%d", k),
+		Vars:  vars,
+		Tiled: tiled,
 		Buffers: []BufferDesc{
 			{Name: "state", Kind: "full", Dir: -1, Comps: kernel.NComp, Level: tvars, Grow: k * ng},
 			{Name: "acc", Kind: "full", Dir: -1, Comps: kernel.NComp, Level: tvars, Grow: (k - 1) * ng},
@@ -160,7 +134,7 @@ func TemporalProg(k, tileEdge int) ProgramDesc {
 		})
 	}
 	for d := 0; d < 3; d++ {
-		faces := temporalDomain(tileEdge, (k-1)*ng, -ng, faceExt(d), k-1)
+		faces := temporalDomain(tiled, (k-1)*ng, -ng, faceExt(d), k-1)
 		for c := 0; c < kernel.NComp; c++ {
 			pd.Stmts = append(pd.Stmts, StmtDesc{
 				Name: fmt.Sprintf("sflux1%s-c%d", dirName[d], c), Macro: "sflux1", Dir: d, Comp: c,
@@ -247,7 +221,7 @@ func BuildTemporal(phi0, phi1 *fab.FAB, valid box.Box, k int) *Program {
 		e.flux[d] = make([]float64, faces.NumPts()*kernel.NComp)
 		e.vel[d] = make([]float64, faces.NumPts())
 	}
-	pd := TemporalProg(k, 0)
+	pd := TemporalProg(k, false)
 	vals := BoxParamValues(valid)
 	p := &Program{}
 	for _, st := range pd.Stmts {

@@ -70,12 +70,15 @@ func TestTemporalSweep(t *testing.T) {
 }
 
 // TestTemporalGeneratedMatchesInterpreted pins the schedc-generated
-// temporal runners (all tile edges) and the tiled engine bitwise against
-// the interpreted time-domain schedule — not just both-against-oracle,
-// but output-slice against output-slice — across K in {1,2,4} and
-// threads in {1,4}.
+// temporal runners (all registered tile edges, plus the unregistered edge
+// 5 called directly) and the tiled engine bitwise against the interpreted
+// time-domain schedule — not just both-against-oracle, but output-slice
+// against output-slice — across K in {1,2,4} and threads in {1,4}.
 func TestTemporalGeneratedMatchesInterpreted(t *testing.T) {
 	valid := box.NewSized(ivect.New(-2, 1, 3), ivect.New(9, 7, 10))
+	runners := map[int]func(phi0, phi1 *fab.FAB, valid box.Box, threads, E int) error{
+		1: generated.RunTemporalK1, 2: generated.RunTemporalK2, 4: generated.RunTemporalK4,
+	}
 	for _, k := range []int{1, 2, 4} {
 		phi0 := fab.New(valid.Grow(k*kernel.NGhost), kernel.NComp)
 		phi0.Randomize(rand.New(rand.NewSource(int64(40+k))), 0.25, 1.75)
@@ -102,6 +105,9 @@ func TestTemporalGeneratedMatchesInterpreted(t *testing.T) {
 			}
 		}
 		kk := k
+		check("generated E=5", func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
+			return runners[kk](phi0, phi1, valid, threads, 5)
+		})
 		check("engine tile=5", func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
 			return temporal.Apply(phi0, phi1, valid, temporal.Config{K: kk, TileEdge: 5, Threads: threads})
 		})

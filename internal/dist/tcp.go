@@ -244,7 +244,7 @@ func (t *TCPTransport) readLoop(peer int, pc *tcpConn) {
 				return // closing: the error is ours, not the peer's
 			default:
 			}
-			item = recvItem{from: peer, err: fmt.Errorf("rank %d link: %v: %w", peer, err, ErrPeerDown)}
+			item = recvItem{from: peer, err: &linkDownError{peer: peer, err: err}}
 		}
 		select {
 		case t.inbox <- item:
@@ -256,6 +256,20 @@ func (t *TCPTransport) readLoop(peer int, pc *tcpConn) {
 		}
 	}
 }
+
+// linkDownError is the in-band report that peer's link closed or failed:
+// it names the peer, so a rank can tell a neighbor that finished its run
+// and hung up from one that still owes it frames. It wraps ErrPeerDown.
+type linkDownError struct {
+	peer int
+	err  error
+}
+
+func (e *linkDownError) Error() string {
+	return fmt.Sprintf("rank %d link: %v: %v", e.peer, e.err, ErrPeerDown)
+}
+
+func (e *linkDownError) Unwrap() error { return ErrPeerDown }
 
 func (t *TCPTransport) Rank() int  { return t.rank }
 func (t *TCPTransport) Ranks() int { return t.ranks }

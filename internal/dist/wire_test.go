@@ -56,10 +56,9 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
-// corruptCorpus mirrors internal/checkpoint/corruption_test.go: every
-// corrupted, truncated, or oversized frame must produce an error —
-// never a panic, never an allocation sized by attacker-controlled
-// bytes.
+// corruptCorpus is the decoder's hardening corpus: every corrupted,
+// truncated, or oversized frame must produce an error — never a panic,
+// never an allocation sized by attacker-controlled bytes.
 func corruptCorpus() map[string][]byte {
 	good := EncodeFrame(&Frame{Type: TypeData, Rank: 1, Step: 2, Motion: 3, Data: []float64{1, 2, 3}})
 	flip := func(off int) []byte {

@@ -197,47 +197,13 @@ func foldBound(fn string, exprs []string) string {
 }
 
 // canonExpr rewrites a bound expression to canonical form: affine
-// expressions are re-rendered (normalizing "-(...)" negations), and
-// cdiv/fdiv calls with constant arguments are evaluated (tile-origin
-// bounds over constant extents come out as plain integers).
+// expressions are re-rendered (normalizing "-(...)" negations); anything
+// else is kept as is.
 func canonExpr(e string) string {
 	if p, ok := parseLin(e); ok {
 		return p.render()
 	}
-	if v, ok := evalConstDiv(e); ok {
-		return strconv.Itoa(v)
-	}
 	return e
-}
-
-// evalConstDiv evaluates "cdiv(a, b)" or "fdiv(a, b)" when both
-// arguments are integer constants.
-func evalConstDiv(s string) (int, bool) {
-	ceil := strings.HasPrefix(s, "cdiv(")
-	if !ceil && !strings.HasPrefix(s, "fdiv(") {
-		return 0, false
-	}
-	if !strings.HasSuffix(s, ")") {
-		return 0, false
-	}
-	as, bs, ok := strings.Cut(s[5:len(s)-1], ",")
-	if !ok {
-		return 0, false
-	}
-	a, okA := parseLin(as)
-	b, okB := parseLin(bs)
-	if !okA || !okB || len(a.coef) != 0 || len(b.coef) != 0 || b.c <= 0 {
-		return 0, false
-	}
-	q := a.c / b.c
-	if ceil {
-		if a.c%b.c != 0 && a.c > 0 {
-			q++
-		}
-	} else if a.c%b.c != 0 && a.c < 0 {
-		q--
-	}
-	return q, true
 }
 
 // boundEqual reports whether two bound expressions are symbolically the

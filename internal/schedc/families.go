@@ -9,14 +9,17 @@ import (
 
 // Families returns every schedule family the compiler ships generated
 // code for: the two CodeGen+ exemplar schedules (series and row-fused,
-// from the same descriptions the interpreter executes) and two of the
+// from the same descriptions the interpreter executes), two of the
 // hand-written families re-derived from declarative descriptions
-// (Shift-Fuse serial and the overlapped-tile Basic-Sched OT-16). All
-// four run serially within the box — the P>=Box granularity, whose
-// parallelism is across boxes.
+// (Shift-Fuse serial and the overlapped-tile Basic-Sched OT, registered
+// at edge 16), and the temporal-blocking families. Each family is one
+// emitted runner; a tiled runner takes its tile edge as an argument and
+// the registered edges are bound in entries.gen.go. All run serially
+// within the box — the P>=Box granularity, whose parallelism is across
+// boxes.
 func Families() []Family {
 	series := Family{
-		Name:     "CodeGen series (generated)",
+		Entries:  []Entry{{Name: "CodeGen series (generated)"}},
 		FuncName: "RunSeries",
 		FileName: "series.gen.go",
 		Comment: "RunSeries executes the original series-of-loops schedule (Fig. 6,\n" +
@@ -25,7 +28,7 @@ func Families() []Family {
 			"flux and velocity temporaries from the scratch arena.",
 	}
 	rowfused := Family{
-		Name:     "CodeGen row-fused (generated)",
+		Entries:  []Entry{{Name: "CodeGen row-fused (generated)"}},
 		FuncName: "RunRowFused",
 		FileName: "rowfused.gen.go",
 		Comment: "RunRowFused executes the shifted-and-fused exemplar schedule\n" +
@@ -42,7 +45,7 @@ func Families() []Family {
 		series,
 		rowfused,
 		{
-			Name:     "Shift-Fuse (generated)",
+			Entries:  []Entry{{Name: "Shift-Fuse (generated)"}},
 			FuncName: "RunShiftFuse",
 			FileName: "shiftfuse.gen.go",
 			Comment: "RunShiftFuse executes the fully shifted-and-fused schedule of\n" +
@@ -54,61 +57,57 @@ func Families() []Family {
 			Progs: []codegen.ProgramDesc{ShiftFuseProg()},
 		},
 		{
-			Name:     "Basic-Sched OT-16 (generated)",
-			FuncName: "RunOT16",
-			FileName: "ot16.gen.go",
-			Comment: "RunOT16 executes the overlapped-tile schedule of Section IV-D with\n" +
-				"the series intra-tile schedule on 16^3 tiles, compiled from a\n" +
-				"tiled description: tile-origin loops with cdiv/fdiv bounds from\n" +
-				"the polyhedral projection, tile-local temporaries allocated per\n" +
-				"tile from the arena, and every tile evaluating all faces its\n" +
-				"cells consume (the recomputation trade).",
-			Progs: []codegen.ProgramDesc{OT16Prog()},
+			Entries:  []Entry{{Name: "Basic-Sched OT-16 (generated)", Edge: 16}},
+			FuncName: "RunOT",
+			FileName: "ot.gen.go",
+			Comment: "RunOT executes the overlapped-tile schedule of Section IV-D with\n" +
+				"the series intra-tile schedule on E^3 tiles (E <= 0: one whole-box\n" +
+				"tile), compiled from a tiled description: tile-origin loops\n" +
+				"stepping by E from the box's low corner, tile-local temporaries\n" +
+				"allocated per tile from the arena, and every tile evaluating all\n" +
+				"faces its cells consume (the recomputation trade).",
+			Progs: []codegen.ProgramDesc{OTProg()},
 		},
 	}
 	return append(fams, temporalFamilies()...)
 }
 
-// temporalFamilies returns the temporal-blocking grid: K Euler steps
-// fused per sweep (the time axis in the When clause) crossed with the
-// spatial tiling of the working set. K=1 is included deliberately — it
-// shares the delta contract and storage shape of the deeper variants, so
-// the autotuner compares K fairly within one family line.
+// temporalFamilies returns the temporal-blocking families: K Euler steps
+// fused per sweep (the time axis in the When clause), one runner per K
+// with the tile edge of the working set as its argument, registered at
+// the whole box and at 16^3 and 32^3 tiles. K=1 is included deliberately
+// — it shares the delta contract and storage shape of the deeper
+// variants, so the autotuner compares K fairly within one family line.
+// K stays a generation-time constant: it changes the loop structure, not
+// only constants.
 func temporalFamilies() []Family {
 	var fams []Family
 	for _, k := range []int{1, 2, 4} {
-		for _, edge := range []int{0, 16, 32} {
-			fams = append(fams, temporalFamily(k, edge))
+		f := Family{
+			FuncName:  fmt.Sprintf("RunTemporalK%d", k),
+			FileName:  fmt.Sprintf("temporal_k%d.gen.go", k),
+			TemporalK: k,
+			Progs:     []codegen.ProgramDesc{codegen.TemporalProg(k, true)},
 		}
+		for _, edge := range []int{0, 16, 32} {
+			name := fmt.Sprintf("Temporal K%d (generated)", k)
+			if edge > 0 {
+				name = fmt.Sprintf("Temporal K%d OT-%d (generated)", k, edge)
+			}
+			f.Entries = append(f.Entries, Entry{Name: name, Edge: edge})
+		}
+		f.Comment = fmt.Sprintf(
+			"%s executes %d explicit Euler steps per sweep (temporal blocking)\n"+
+				"compiled from codegen.TemporalProg: the k axis of the When clause\n"+
+				"shrinks each sub-step's region by NGhost (the wavefront in time),\n"+
+				"on E^3 tiles (E <= 0: one whole-box tile) with tile-local\n"+
+				"temporaries grown by the deepest sub-step's reach. phi1\n"+
+				"accumulates the K-step delta state_K - phi0, bitwise identical to\n"+
+				"composing kernel.Reference %d times.",
+			f.FuncName, k, k)
+		fams = append(fams, f)
 	}
 	return fams
-}
-
-// temporalFamily builds one (K, tile) point of the temporal grid.
-func temporalFamily(k, edge int) Family {
-	f := Family{
-		Name:      fmt.Sprintf("Temporal K%d (generated)", k),
-		FuncName:  fmt.Sprintf("RunTemporalK%d", k),
-		FileName:  fmt.Sprintf("temporal_k%d.gen.go", k),
-		TemporalK: k,
-		Progs:     []codegen.ProgramDesc{codegen.TemporalProg(k, edge)},
-	}
-	where := "whole-box temporaries"
-	if edge > 0 {
-		f.Name = fmt.Sprintf("Temporal K%d OT-%d (generated)", k, edge)
-		f.FuncName = fmt.Sprintf("RunTemporalK%dOT%d", k, edge)
-		f.FileName = fmt.Sprintf("temporal_k%d_ot%d.gen.go", k, edge)
-		where = fmt.Sprintf("tile-local temporaries on %d^3 tiles", edge)
-	}
-	f.Comment = fmt.Sprintf(
-		"%s executes %d explicit Euler steps per sweep (temporal blocking)\n"+
-			"compiled from codegen.TemporalProg: the k axis of the When clause\n"+
-			"shrinks each sub-step's region by NGhost (the wavefront in time),\n"+
-			"with %s grown by the deepest sub-step's\n"+
-			"reach. phi1 accumulates the K-step delta state_K - phi0, bitwise\n"+
-			"identical to composing kernel.Reference %d times.",
-		f.FuncName, k, where, k)
-	return f
 }
 
 // fext is the face-box extension of direction d.
@@ -180,61 +179,15 @@ func ShiftFuseProg() codegen.ProgramDesc {
 	return pd
 }
 
-// tileDomain builds the 12-dimensional domain of one overlapped-tile
-// statement: box parameters, tile-origin variables (tz, ty, tx), and the
-// spatial loops (z, y, x). Each axis is confined to its tile of edge E
-// clipped to the valid box, with the high side extended by ext[axis]
-// (the face boxes of the tile — faces on shared tile surfaces belong to
-// both neighbors, which is the overlap).
-func tileDomain(E int, ext [3]int) codegen.SetDesc {
-	const dim = codegen.NumBoxParams + 6
-	d := codegen.SetDesc{Dim: dim}
-	add := func(coef []int, c int) {
-		d.Cons = append(d.Cons, codegen.AffineDesc{Coef: coef, Const: c})
-	}
-	for lvl := 0; lvl < 3; lvl++ {
-		axis := 2 - lvl
-		ti := codegen.NumBoxParams + lvl     // tile-origin variable
-		li := codegen.NumBoxParams + 3 + lvl // spatial loop variable
-		// v >= lo (valid box)
-		lo := make([]int, dim)
-		lo[li], lo[2*axis] = 1, -1
-		add(lo, 0)
-		// v <= hi + ext (valid box, face-extended)
-		hi := make([]int, dim)
-		hi[li], hi[2*axis+1] = -1, 1
-		add(hi, ext[axis])
-		// v >= lo + E*t (tile low edge)
-		tl := make([]int, dim)
-		tl[li], tl[2*axis], tl[ti] = 1, -1, -E
-		add(tl, 0)
-		// v <= lo + E*t + E-1 + ext (tile high edge, face-extended)
-		th := make([]int, dim)
-		th[li], th[2*axis], th[ti] = -1, 1, E
-		add(th, E-1+ext[axis])
-		// t >= 0 and lo + E*t <= hi: only tiles whose origin lies in the
-		// valid box exist — otherwise the face extension would admit a
-		// phantom boundary tile computing faces no cell consumes.
-		t0 := make([]int, dim)
-		t0[ti] = 1
-		add(t0, 0)
-		t1 := make([]int, dim)
-		t1[ti], t1[2*axis], t1[2*axis+1] = -E, -1, 1
-		add(t1, 0)
-	}
-	return d
-}
-
-// OT16Prog describes Basic-Sched OT-16: three tile-origin loops, and
-// within each tile the full series schedule per direction over the
-// tile's own face and cell boxes, with tile-local full-array
-// temporaries (allocated at loop depth 3, rewound per tile).
-func OT16Prog() codegen.ProgramDesc {
-	const E = 16
+// OTProg describes Basic-Sched OT: three tile-origin loops, and within
+// each tile the full series schedule per direction over the tile's own
+// face and cell boxes, with tile-local full-array temporaries (allocated
+// at loop depth 3, rewound per tile).
+func OTProg() codegen.ProgramDesc {
 	pd := codegen.ProgramDesc{
-		Name:     "ot16",
-		Vars:     []string{"tz", "ty", "tx", "z", "y", "x"},
-		TileEdge: E,
+		Name:  "ot",
+		Vars:  append(codegen.TileVarNames(), codegen.LoopVarNames()...),
+		Tiled: true,
 	}
 	var velB, fluxB [3]string
 	for d := 0; d < 3; d++ {
@@ -245,7 +198,7 @@ func OT16Prog() codegen.ProgramDesc {
 			codegen.BufferDesc{Name: velB[d], Kind: "full", Dir: d, Comps: 1, Level: 3},
 		)
 	}
-	cells := tileDomain(E, [3]int{})
+	cells := codegen.TileDomainDesc(false, 0, 0, [3]int{}, 0)
 	seq := 0
 	sched := func() codegen.ScheduleDesc {
 		s := codegen.ScatterDesc(6, 0, 0, 0, seq, 0, 0, 0)
@@ -253,7 +206,7 @@ func OT16Prog() codegen.ProgramDesc {
 		return s
 	}
 	for d := 0; d < 3; d++ {
-		faces := tileDomain(E, fext(d))
+		faces := codegen.TileDomainDesc(false, 0, 0, fext(d), 0)
 		for c := 0; c < kernel.NComp; c++ {
 			pd.Stmts = append(pd.Stmts, codegen.StmtDesc{
 				Name: fmt.Sprintf("flux1%s-c%d", dirName[d], c), Macro: "flux1", Dir: d, Comp: c,

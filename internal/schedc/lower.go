@@ -65,7 +65,7 @@ func timeDomain(st *codegen.StmtDesc, nparams int, shifts []int) codegen.SetDesc
 // is the full dimension naming: box parameters then loop variables.
 func lowerStmts(pd *codegen.ProgramDesc) ([]*loweredStmt, []string, error) {
 	nvars := len(pd.Vars)
-	params := codegen.BoxParamNames()
+	params := pd.ParamNames()
 	allVars := append(append([]string(nil), params...), pd.Vars...)
 	var out []*loweredStmt
 	for i := range pd.Stmts {
@@ -134,6 +134,10 @@ func (e *emitter) emitNest(group []*loweredStmt, level int, ind string) {
 	sort.SliceStable(parts, func(i, j int) bool { return parts[i].pos < parts[j].pos })
 
 	v := e.prog.Vars[level]
+	step := v + "++"
+	if isTileVar(v) {
+		step = v + " += " + codegen.TileEdgeParam
+	}
 	for _, p := range parts {
 		// Union bounds over the members' time domains at this level.
 		var los, his []string
@@ -143,6 +147,13 @@ func (e *emitter) emitNest(group []*loweredStmt, level int, ind string) {
 		}
 		lo := foldBound("min", los)
 		hi := foldBound("max", his)
+		if isTileVar(v) {
+			// Tile origins step by E from the box's low corner: any other
+			// start would shift the tile grid.
+			if a, _ := axisOf(v); lo != fmt.Sprintf("lo%d", a) {
+				panic(fmt.Sprintf("schedc: tile loop %s starts at %s, not lo%d", v, lo, a))
+			}
+		}
 		// Residual guards for members whose own bounds are narrower.
 		for _, ls := range p.members {
 			if !boundEqual(ls.loops[level].Lo, lo) {
@@ -180,10 +191,10 @@ func (e *emitter) emitNest(group []*loweredStmt, level int, ind string) {
 				e.printf("%s%s := %s\n", inner, dcl.name, dcl.expr)
 			}
 			e.hoist = nil
-			e.printf("%sfor %s := %s; %s <= %sHi; %s++ {\n", inner, v, lo, v, v, v)
+			e.printf("%sfor %s := %s; %s <= %sHi; %s {\n", inner, v, lo, v, v, step)
 			e.b.WriteString(sub.String())
 		} else {
-			e.printf("%sfor %s := %s; %s <= %sHi; %s++ {\n", inner, v, lo, v, v, v)
+			e.printf("%sfor %s := %s; %s <= %sHi; %s {\n", inner, v, lo, v, v, step)
 			// Tile-local storage: allocated once all tile-origin loops are
 			// entered, released per iteration of the innermost tile loop.
 			rewind := e.emitScopedBuffers(level+1, body)

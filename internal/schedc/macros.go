@@ -65,7 +65,7 @@ func (e *emitter) reduce(xTerm, row string) string {
 type bufInfo struct {
 	d codegen.BufferDesc
 	// base is the per-axis low-corner expression of the buffer's index
-	// space ("lo0" for box-level storage, "tlo0" for tile-local).
+	// space ("lo0" for box-level storage, the origin "tx" for tile-local).
 	base [3]string
 	// strides/slot are identifiers of prelude locals.
 	sy, sz, sc string // full arrays
@@ -214,22 +214,22 @@ func (e *emitter) emitScopedBuffers(level int, ind string) string {
 	if len(scoped) == 0 {
 		return ""
 	}
-	if level != tileLevels(e.prog) || e.prog.TileEdge <= 0 {
+	if !e.prog.Tiled || level != len(codegen.TileVarNames()) {
 		panic(fmt.Sprintf("schedc: buffers at depth %d need tile loops", level))
 	}
-	E := e.prog.TileEdge
-	// Tile bounds: tloA/thiA from the tile-origin variables in scope.
-	for lvl := 0; lvl < level; lvl++ {
-		v := e.prog.Vars[lvl]
+	// Tile bounds: the origin variables in scope are the low corners; the
+	// high corners clip the tile to the valid box.
+	var tlo [3]string
+	for _, v := range e.prog.Vars[:level] {
 		a, _ := axisOf(v)
-		e.printf("%stlo%d := lo%d + %d*%s\n", ind, a, a, E, v)
-		e.printf("%sthi%d := min(hi%d, tlo%d+%d)\n", ind, a, a, a, E-1)
+		tlo[a] = v
+		e.printf("%sthi%d := min(hi%d, %s+%s-1)\n", ind, a, a, v, codegen.TileEdgeParam)
 	}
 	e.printf("%sam := ar.Mark()\n", ind)
 	for _, bi := range scoped {
 		var hi [3]string
 		bi.base, hi = bufBounds(bi,
-			func(a int) string { return fmt.Sprintf("tlo%d", a) },
+			func(a int) string { return tlo[a] },
 			func(a int) string { return fmt.Sprintf("thi%d", a) })
 		e.emitBufPrelude(bi, hi, ind)
 	}

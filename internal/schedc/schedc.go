@@ -7,9 +7,9 @@
 //
 // The input is a Family: one or more codegen.ProgramDesc values, each a
 // set of statements with polyhedral iteration domains (parametric over
-// the valid-box corners), scatter-form schedules, and storage-mapping
-// buffer descriptions. Lowering proceeds exactly as classic polyhedral
-// code generation does:
+// the valid-box corners, and over the tile edge for tiled programs),
+// scatter-form schedules, and storage-mapping buffer descriptions.
+// Lowering proceeds exactly as classic polyhedral code generation does:
 //
 //  1. each statement's domain is translated to its time domain by the
 //     schedule's shifts (When);
@@ -40,27 +40,40 @@ import (
 	"stencilsched/internal/codegen"
 )
 
-// Family is one compiled schedule family: a registry name, the Go
-// identifiers to emit, and the program descriptions executed in
-// sequence by the generated runner (one per direction for the
+// Family is one compiled schedule family: the Go identifiers to emit, the
+// registry entries bound to its runner, and the program descriptions
+// executed in sequence by the generated runner (one per direction for the
 // per-direction families, a single program for the fully fused ones).
 type Family struct {
-	// Name is the conformance-registry name of the generated runner.
-	Name string
 	// FuncName is the exported Go function name of the runner.
 	FuncName string
 	// FileName is the base name of the emitted file (without dir).
 	FileName string
 	// Comment is a short description placed above the runner.
 	Comment string
+	// Entries are the conformance-registry runners of the family. A
+	// tiled family's runner takes the tile edge as a trailing argument,
+	// which each entry binds.
+	Entries []Entry
 	// TemporalK, when positive, marks a temporal-blocking family fusing
 	// that many Euler steps per sweep: the runner's contract changes to
 	// the K-step delta (phi0 over valid grown by TemporalK*NGhost, phi1
 	// accumulating state_K - phi0), checked by kernel.CheckStateK.
 	TemporalK int
 	// Progs are executed in order, each against a rewound arena mark.
+	// Either every program is tiled or none is.
 	Progs []codegen.ProgramDesc
 }
+
+// Entry is one registered runner of a family: its registry name and, for
+// a tiled family, the tile edge it binds (0: one whole-box tile).
+type Entry struct {
+	Name string
+	Edge int
+}
+
+// tiled reports whether the family's runner takes the tile-edge argument.
+func (f Family) tiled() bool { return f.Progs[0].Tiled }
 
 // axisOf maps a loop-variable name to its spatial axis: x/tx are axis 0,
 // y/ty axis 1, z/tz axis 2.
@@ -86,16 +99,3 @@ func isTileVar(name string) bool {
 // never index storage by k — the time axis only shapes the (shrinking)
 // statement domains.
 func isTimeVar(name string) bool { return name == "k" }
-
-// tileLevels returns the number of leading tile-origin loops of a
-// program (0 for untiled programs).
-func tileLevels(pd *codegen.ProgramDesc) int {
-	n := 0
-	for _, v := range pd.Vars {
-		if !isTileVar(v) {
-			break
-		}
-		n++
-	}
-	return n
-}

@@ -5,6 +5,11 @@
 // descriptions (or the compiler) and re-run `go generate ./...`, never
 // the emitted files. A test in this package fails when the committed
 // files drift from what the compiler emits.
+//
+// Each schedule structure is emitted once. Tiled runners (RunOT and the
+// RunTemporalK* sweeps) take the tile edge E as a trailing argument, with
+// E <= 0 meaning one whole-box tile; Entries binds the registered edges
+// with bindEdge, so every entry has the same registry signature.
 package generated
 
 //go:generate go run stencilsched/cmd/schedgen -out .
@@ -27,4 +32,12 @@ type Entry struct {
 	Name      string
 	Run       func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error
 	TemporalK int
+}
+
+// bindEdge binds the tile edge of a tiled runner (E <= 0: one whole-box
+// tile), giving the registry signature.
+func bindEdge(run func(phi0, phi1 *fab.FAB, valid box.Box, threads, E int) error, E int) func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
+	return func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error {
+		return run(phi0, phi1, valid, threads, E)
+	}
 }

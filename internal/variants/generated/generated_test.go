@@ -1,6 +1,7 @@
 package generated
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -56,31 +57,64 @@ func TestGeneratedPackageVetClean(t *testing.T) {
 	}
 }
 
+// testBoxes are the geometries of the local differential checks: cubes,
+// a ragged one for 16^3 tiles, a non-cubic shifted one, and a 32^3 box
+// that holds several tiles of every registered edge.
+var testBoxes = []box.Box{
+	box.Cube(8),
+	box.Cube(12), // ragged 16^3 tiles
+	box.NewSized(ivect.New(-3, 5, 2), ivect.New(9, 7, 11)), // non-cubic, shifted
+	box.Cube(32),
+}
+
+// testEdges are the tile edges the tiled runners are called with directly:
+// edges that divide the boxes and edges that leave ragged tiles, the
+// registered 16 and 32, 0 (one whole-box tile) and one larger than every
+// box.
+var testEdges = []int{1, 2, 3, 5, 8, 16, 32, 0, 64}
+
+// edgesFor returns the test edges run on box b. The 32^3 box skips edges
+// below 5: they only repeat tile shapes the small boxes already cover, at
+// up to 32768 tiles each (a K4 sweep at E=1 there takes tens of seconds).
+func edgesFor(b box.Box) []int {
+	if b.NumPts() < 32*32*32 {
+		return testEdges
+	}
+	var es []int
+	for _, E := range testEdges {
+		if E <= 0 || E >= 5 {
+			es = append(es, E)
+		}
+	}
+	return es
+}
+
 // TestEntriesBitwiseEqualReference is the local differential check (the
 // conformance sweep covers the same runners across many geometries; this
-// pins correctness next to the generated code on an offset box).
+// pins correctness next to the generated code on offset boxes, and runs
+// the tiled RunOT at every test edge, not only the registered one).
 func TestEntriesBitwiseEqualReference(t *testing.T) {
-	boxes := []box.Box{
-		box.Cube(8),
-		box.Cube(12), // ragged 16^3 tiles
-		box.NewSized(ivect.New(-3, 5, 2), ivect.New(9, 7, 11)), // non-cubic, shifted
-	}
-	for bi, b := range boxes {
+	for bi, b := range testBoxes {
 		phi0, want := kernel.NewState(b)
 		phi0.Randomize(rand.New(rand.NewSource(int64(300+bi))), 0.25, 1.75)
 		kernel.Reference(phi0, want, b)
-		for _, e := range Entries() {
-			if e.TemporalK > 0 {
-				continue // different contract, see the temporal test below
-			}
+		check := func(name string, run func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error) {
 			phi1 := fab.New(b, kernel.NComp)
-			if err := e.Run(phi0, phi1, b, 1); err != nil {
-				t.Errorf("box %v, %s: %v", b, e.Name, err)
-				continue
+			if err := run(phi0, phi1, b, 1); err != nil {
+				t.Errorf("box %v, %s: %v", b, name, err)
+				return
 			}
 			if d, at, c := phi1.MaxDiff(want, b); d != 0 {
-				t.Errorf("box %v, %s: diff %g at %v comp %d", b, e.Name, d, at, c)
+				t.Errorf("box %v, %s: diff %g at %v comp %d", b, name, d, at, c)
 			}
+		}
+		for _, e := range Entries() {
+			if e.TemporalK == 0 { // temporal runners: see the test below
+				check(e.Name, e.Run)
+			}
+		}
+		for _, E := range edgesFor(b) {
+			check(fmt.Sprintf("RunOT E=%d", E), bindEdge(RunOT, E))
 		}
 	}
 }
@@ -106,29 +140,35 @@ func temporalDelta(phi0 *fab.FAB, valid box.Box, k int) *fab.FAB {
 }
 
 // TestTemporalEntriesBitwiseEqualComposition pins every generated
-// temporal runner (all K and tile edges) bitwise against composing
-// kernel.Reference K times, on offset and ragged boxes.
+// temporal runner bitwise against composing kernel.Reference K times, on
+// offset and ragged boxes: the registered entries, and each K's runner
+// called directly at every test edge.
 func TestTemporalEntriesBitwiseEqualComposition(t *testing.T) {
-	boxes := []box.Box{
-		box.Cube(8),
-		box.Cube(12), // ragged 16^3 tiles
-		box.NewSized(ivect.New(-3, 5, 2), ivect.New(9, 7, 11)), // non-cubic, shifted
+	runners := map[int]func(phi0, phi1 *fab.FAB, valid box.Box, threads, E int) error{
+		1: RunTemporalK1, 2: RunTemporalK2, 4: RunTemporalK4,
 	}
-	for bi, b := range boxes {
-		for _, e := range Entries() {
-			if e.TemporalK == 0 {
-				continue
-			}
-			phi0 := fab.New(b.Grow(e.TemporalK*kernel.NGhost), kernel.NComp)
+	for bi, b := range testBoxes {
+		for _, k := range []int{1, 2, 4} {
+			phi0 := fab.New(b.Grow(k*kernel.NGhost), kernel.NComp)
 			phi0.Randomize(rand.New(rand.NewSource(int64(500+bi))), 0.25, 1.75)
-			want := temporalDelta(phi0, b, e.TemporalK)
-			phi1 := fab.New(b, kernel.NComp)
-			if err := e.Run(phi0, phi1, b, 1); err != nil {
-				t.Errorf("box %v, %s: %v", b, e.Name, err)
-				continue
+			want := temporalDelta(phi0, b, k)
+			check := func(name string, run func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error) {
+				phi1 := fab.New(b, kernel.NComp)
+				if err := run(phi0, phi1, b, 1); err != nil {
+					t.Errorf("box %v, %s: %v", b, name, err)
+					return
+				}
+				if d, at, c := phi1.MaxDiff(want, b); d != 0 {
+					t.Errorf("box %v, %s: diff %g at %v comp %d", b, name, d, at, c)
+				}
 			}
-			if d, at, c := phi1.MaxDiff(want, b); d != 0 {
-				t.Errorf("box %v, %s: diff %g at %v comp %d", b, e.Name, d, at, c)
+			for _, e := range Entries() {
+				if e.TemporalK == k {
+					check(e.Name, e.Run)
+				}
+			}
+			for _, E := range edgesFor(b) {
+				check(fmt.Sprintf("RunTemporalK%d E=%d", k, E), bindEdge(runners[k], E))
 			}
 		}
 	}
