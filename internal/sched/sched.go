@@ -405,12 +405,13 @@ func DesignSpaceSize() int {
 
 // ExtendedDesignSpace enumerates the design space with rectangular
 // (per-dimension) tile shapes — pencils, slabs and cubes with every edge
-// drawn from TileSizes. With 4^3 = 64 shapes per tiled family the space
-// has 4 + 4 + 2*2*64 + 2*2*2*64 = 776 points; restricting the overlapped
-// tiles to the component-loop-outside placement the paper kept (CLI was
-// pruned) gives 4 + 4 + 256 + 64... the paper's own 328 counts its axis
-// choices, which it does not enumerate exactly; this function documents
-// ours. Every returned variant validates and executes.
+// drawn from TileSizes, 4^3 = 64 shapes. It has 392 points: 8 untiled
+// (Series and Shift-Fuse, each P>=Box/P<Box × CLO/CLI), 2*64 Blocked WF
+// (CLO/CLI, P<Box only) and 2*2*64 overlapped tiles (Basic/Fused intra-tile
+// × P>=Box/P<Box, component loop outside only, the placement the paper
+// kept after CLI proved uniformly slower). The paper's own 328 counts its
+// axis choices, which it does not enumerate exactly; this function
+// documents ours. Every returned variant validates and executes.
 func ExtendedDesignSpace() []Variant {
 	var vs []Variant
 	for _, par := range []Granularity{OverBoxes, WithinBox} {

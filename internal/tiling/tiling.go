@@ -72,35 +72,6 @@ func DecomposeVect(b box.Box, t ivect.IntVect) *Decomposition {
 // NumTiles returns the number of tiles.
 func (d *Decomposition) NumTiles() int { return len(d.Tiles) }
 
-// TileAt returns the tile with grid index tv.
-func (d *Decomposition) TileAt(tv ivect.IntVect) Tile {
-	if !d.Grid.Contains(tv) {
-		panic(fmt.Sprintf("tiling: tile index %v outside grid %v", tv, d.Grid))
-	}
-	g := d.Grid.Size()
-	i := tv[0] + g[0]*(tv[1]+g[1]*tv[2])
-	return d.Tiles[i]
-}
-
-// NumWavefronts returns the number of anti-diagonal wavefronts in the tile
-// grid: gx + gy + gz - 2.
-func (d *Decomposition) NumWavefronts() int {
-	g := d.Grid.Size()
-	return g[0] + g[1] + g[2] - 2
-}
-
-// WavefrontWidths returns, per wavefront number w = ix+iy+iz, how many
-// tiles it contains. The leading and trailing wavefronts are narrow — the
-// pipeline fill/drain that makes the blocked-wavefront schedules
-// uncompetitive in the paper's Figures 10–12.
-func (d *Decomposition) WavefrontWidths() []int {
-	widths := make([]int, d.NumWavefronts())
-	for _, t := range d.Tiles {
-		widths[t.Index.Sum()]++
-	}
-	return widths
-}
-
 // FaceStats quantifies face-evaluation redundancy for a decomposition.
 type FaceStats struct {
 	// UniqueFaces is the number of distinct face evaluations the box needs,

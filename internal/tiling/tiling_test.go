@@ -42,32 +42,11 @@ func TestDecomposePanics(t *testing.T) {
 	}()
 }
 
-func TestTileAtAgreesWithOrder(t *testing.T) {
-	d := Decompose(box.Cube(12), 5) // ragged: tiles of 5,5,2 per dim
-	d.Grid.ForEach(func(tv ivect.IntVect) {
-		tile := d.TileAt(tv)
-		if tile.Index != tv {
-			t.Fatalf("TileAt(%v).Index = %v", tv, tile.Index)
-		}
-	})
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("TileAt outside grid did not panic")
-			}
-		}()
-		d.TileAt(ivect.New(3, 0, 0))
-	}()
-}
-
 func TestOT16On128MatchesPaperGeometry(t *testing.T) {
-	// The paper's OT-16 on N=128: 8^3 = 512 tiles, 22 wavefronts.
+	// The paper's OT-16 on N=128: an 8^3 grid of 512 tiles.
 	d := Decompose(box.Cube(128), 16)
-	if d.NumTiles() != 512 {
-		t.Fatalf("tiles = %d", d.NumTiles())
-	}
-	if d.NumWavefronts() != 22 {
-		t.Fatalf("wavefronts = %d", d.NumWavefronts())
+	if d.NumTiles() != 512 || d.Grid.Size() != ivect.Uniform(8) {
+		t.Fatalf("tiles = %d, grid %v", d.NumTiles(), d.Grid.Size())
 	}
 	// N=16 with T=16 is a single serial tile — the paper's explanation for
 	// P<Box collapsing on small boxes (Fig. 9 discussion).
@@ -76,41 +55,16 @@ func TestOT16On128MatchesPaperGeometry(t *testing.T) {
 	}
 }
 
-func TestWavefrontWidthsSumAndShape(t *testing.T) {
-	d := Decompose(box.Cube(32), 8) // 4x4x4 tile grid
-	ws := d.WavefrontWidths()
-	if len(ws) != d.NumWavefronts() {
-		t.Fatalf("widths len %d vs %d wavefronts", len(ws), d.NumWavefronts())
-	}
-	sum := 0
-	for _, w := range ws {
-		sum += w
-	}
-	if sum != d.NumTiles() {
-		t.Fatalf("widths sum %d, tiles %d", sum, d.NumTiles())
-	}
-	// Symmetric and unimodal for a cubic grid; first and last are single
-	// tiles (the pipeline fill/drain).
-	if ws[0] != 1 || ws[len(ws)-1] != 1 {
-		t.Fatalf("end widths = %d, %d", ws[0], ws[len(ws)-1])
-	}
-	for i := range ws {
-		if ws[i] != ws[len(ws)-1-i] {
-			t.Fatalf("widths not symmetric: %v", ws)
-		}
-	}
-}
-
 func TestFacesConsumedByTile(t *testing.T) {
 	d := Decompose(box.Cube(8), 4)
-	tile := d.TileAt(ivect.New(1, 0, 0))
+	tile := d.Tiles[1] // index (1,0,0): tiles are ordered x-fastest
 	fx := tile.Faces(0)
 	if fx.Size() != ivect.New(5, 4, 4) {
 		t.Fatalf("x faces size = %v", fx.Size())
 	}
 	// The tile's low x-face plane coincides with its left neighbor's high
 	// x-face plane: that shared plane is what overlapped tiles recompute.
-	left := d.TileAt(ivect.New(0, 0, 0))
+	left := d.Tiles[0]
 	shared := fx.Intersect(left.Faces(0))
 	if shared.NumPts() != 4*4 {
 		t.Fatalf("shared face plane = %d faces", shared.NumPts())

@@ -20,7 +20,7 @@ import (
 // around the spatial loops exactly as written in Figure 6; CLI moves it
 // innermost, under the x loop.
 func execSeries(s *state, comp sched.CompLoop, threads int, ar *scratch.Arena) Stats {
-	stats := Stats{UniqueFaces: s.uniqueFaces()}
+	stats := Stats{UniqueFaces: uniqueFaces(s.valid)}
 	stats.FacesEvaluated = stats.UniqueFaces
 	// Directions are independent: rewind the arena each direction so the
 	// retained peak is one direction's flux+velocity, matching the
@@ -235,7 +235,7 @@ func ExecSeriesNoVelocityTemp(phi0, phi1 *fab.FAB, valid box.Box, threads int) S
 // the velocity component scales itself last. Results remain bitwise
 // identical to Reference. Exposed through AblationSeriesNoVelocityTemp.
 func execSeriesNoVelTemp(s *state, threads int, ar *scratch.Arena) Stats {
-	stats := Stats{UniqueFaces: s.uniqueFaces()}
+	stats := Stats{UniqueFaces: uniqueFaces(s.valid)}
 	stats.FacesEvaluated = stats.UniqueFaces
 	base := ar.Mark()
 	for dir := 0; dir < ivect.SpaceDim; dir++ {

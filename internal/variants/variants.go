@@ -5,13 +5,21 @@
 // direction contributions in x, y, z order, and recomputation (overlapped
 // tiles) re-evaluates the same expressions on the same read-only inputs.
 //
-// The files of this package mirror Section IV:
+// Schedules that the schedc compiler emits run on its generated runners
+// (package generated); the rest are hand-written. The files of this
+// package mirror Section IV:
 //
 //	series.go     — IV-A, the original series of modular loops
-//	shiftfuse.go  — IV-B, shifted and fused loops (serial and per-iteration
-//	                wavefront)
-//	blockedwf.go  — IV-C, shifted/fused/tiled loops in tile wavefronts
-//	overlapped.go — IV-D, overlapped (communication-avoiding) tiles
+//	                (hand-written, both component-loop placements)
+//	blockedwf.go  — IV-B/IV-C, the fused tile body in tile wavefronts: the
+//	                Blocked WF variants, the per-cell wavefront of
+//	                Shift-Fuse P<Box (1^3 tiles) and Shift-Fuse-CLI P>=Box
+//	                (one whole-box tile)
+//	overlapped.go — IV-D, overlapped (communication-avoiding) tiles: a
+//	                tile driver running generated.RunSeries or
+//	                generated.RunShiftFuse on each tile
+//
+// Shift-Fuse-CLO P>=Box is generated.RunShiftFuse on the whole box.
 package variants
 
 import (
@@ -25,6 +33,7 @@ import (
 	"stencilsched/internal/parallel"
 	"stencilsched/internal/sched"
 	"stencilsched/internal/scratch"
+	"stencilsched/internal/variants/generated"
 	"stencilsched/internal/wavefront"
 )
 
@@ -75,6 +84,29 @@ func Exec(v sched.Variant, phi0, phi1 *fab.FAB, valid box.Box, threads int) Stat
 		panic(fmt.Sprintf("variants: %v", err))
 	}
 	kernel.CheckState(phi0, phi1, valid)
+	if v.Par == sched.OverBoxes {
+		threads = 1
+	}
+	threads = parallel.Threads(threads)
+	var stats Stats
+	switch {
+	case v.Family == sched.ShiftFuse && v.Par == sched.OverBoxes && v.Comp == sched.CLO:
+		mustRun(generated.RunShiftFuse(phi0, phi1, valid, 1))
+		stats = generatedStats(sched.FusedSched, valid)
+	case v.Family == sched.OverlappedTile:
+		stats = execOverlapped(phi0, phi1, valid, v.Intra, ivect.IntVect(v.TileShape()), threads)
+	default:
+		stats = execHandWritten(v, phi0, phi1, valid, threads)
+	}
+	stats.Variant = v
+	return stats
+}
+
+// execHandWritten runs the hand-written executors: the series family and
+// the fused tile body in wavefronts. Only these hold an arena of Exec's
+// own; the generated runners check out theirs, and holding an idle one
+// beside it would double the retained scratch.
+func execHandWritten(v sched.Variant, phi0, phi1 *fab.FAB, valid box.Box, threads int) Stats {
 	st := statePool.Get().(*state)
 	st.init(phi0, phi1, valid)
 	defer func() {
@@ -83,22 +115,52 @@ func Exec(v sched.Variant, phi0, phi1 *fab.FAB, valid box.Box, threads int) Stat
 	}()
 	ar := scratch.Default.Checkout()
 	defer scratch.Default.Checkin(ar)
-	if v.Par == sched.OverBoxes {
-		threads = 1
-	}
-	threads = parallel.Threads(threads)
-	var stats Stats
 	switch v.Family {
 	case sched.Series:
-		stats = execSeries(st, v.Comp, threads, ar)
+		return execSeries(st, v.Comp, threads, ar)
 	case sched.ShiftFuse:
-		stats = execShiftFuse(st, v.Comp, v.Par == sched.WithinBox, threads, ar)
-	case sched.BlockedWavefront:
-		stats = execBlockedWF(st, v.Comp, ivect.IntVect(v.TileShape()), threads, ar)
-	case sched.OverlappedTile:
-		stats = execOverlapped(st, v.Intra, ivect.IntVect(v.TileShape()), threads, ar)
+		// The per-cell wavefront of P<Box is the blocked wavefront at 1^3
+		// tiles; the serial P>=Box sweep is one whole-box tile.
+		shape := ivect.Ones
+		if v.Par == sched.OverBoxes {
+			shape = valid.Size()
+		}
+		return execBlockedWF(st, v.Comp, shape, threads, ar)
+	default:
+		return execBlockedWF(st, v.Comp, ivect.IntVect(v.TileShape()), threads, ar)
 	}
-	stats.Variant = v
+}
+
+// mustRun panics on a generated runner's error: Exec has already checked
+// everything the runners check.
+func mustRun(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("variants: %v", err))
+	}
+}
+
+// generatedStats reports what one generated-runner call allocates on box
+// b: generated.RunSeries (BasicSched) holds one direction's C-component
+// flux and velocity face arrays at a time; generated.RunShiftFuse
+// (FusedSched) holds the three velocity face arrays plus depth-2 carried
+// flux rings of 2 + 2N + 2N^2 values, Table I's fused row.
+func generatedStats(intra sched.IntraTile, b box.Box) Stats {
+	stats := Stats{UniqueFaces: uniqueFaces(b)}
+	stats.FacesEvaluated = stats.UniqueFaces
+	var faceMax, faceSum int64
+	for d := 0; d < ivect.SpaceDim; d++ {
+		n := int64(b.SurroundingFaces(d).NumPts())
+		faceSum += n
+		faceMax = max(faceMax, n)
+	}
+	if intra == sched.BasicSched {
+		stats.TempFluxBytes = faceMax * kernel.NComp * 8
+		stats.TempVelBytes = faceMax * 8
+		return stats
+	}
+	sz := b.Size()
+	stats.TempFluxBytes = int64(2+2*sz[0]+2*sz[0]*sz[1]) * 8
+	stats.TempVelBytes = faceSum * 8
 	return stats
 }
 
@@ -230,12 +292,12 @@ func (s *state) off1(p ivect.IntVect) int {
 func (s *state) comp0(c int) []float64 { return s.comps0[c] }
 func (s *state) comp1(c int) []float64 { return s.comps1[c] }
 
-// uniqueFaces returns the number of distinct faces of the valid box summed
-// over directions.
-func (s *state) uniqueFaces() int64 {
+// uniqueFaces returns the number of distinct faces of box b summed over
+// directions.
+func uniqueFaces(b box.Box) int64 {
 	var n int64
 	for d := 0; d < ivect.SpaceDim; d++ {
-		n += int64(s.valid.SurroundingFaces(d).NumPts())
+		n += int64(b.SurroundingFaces(d).NumPts())
 	}
 	return n
 }
@@ -259,9 +321,8 @@ func velocityField(s *state, region box.Box, threads int, ar *scratch.Arena) [3]
 		sd := s.str0[d]
 		nz := faces.Size()[2]
 		if threads <= 1 {
-			// Serial callers (P>=Box boxes, per-tile recomputation) run the
-			// slab body directly: a closure here would heap-allocate on
-			// every tile of the overlapped schedules.
+			// Serial callers (P>=Box boxes) run the slab body directly: a
+			// closure here would heap-allocate on every execution.
 			velSlabs(s, out, ph, faces, vy, vz, sd, 0, nz)
 		} else {
 			parallel.ForChunked(threads, nz, func(_, zlo, zhi int) {
@@ -288,45 +349,23 @@ func velSlabs(s *state, out, ph []float64, faces box.Box, vy, vz, sd, zlo, zhi i
 	}
 }
 
-// velAcc is a raw-slice accessor for a single-component face FAB, used in
-// the fused inner loops instead of bounds-checked Get.
+// velAcc is a raw-slice accessor for a single-component face FAB on a
+// cell box's SurroundingFaces(d), whose low corner is the cell box's, so
+// one offset per cell serves its low face and (one stride up) its high
+// face.
 type velAcc struct {
 	data   []float64
-	lo     ivect.IntVect
 	sy, sz int
 }
 
 func newVelAcc(f *fab.FAB) velAcc {
 	sy, sz, _ := f.Strides()
-	return velAcc{data: f.Comp(0), lo: f.Box().Lo, sy: sy, sz: sz}
+	return velAcc{data: f.Comp(0), sy: sy, sz: sz}
 }
 
-// at returns the velocity at face p.
-func (v velAcc) at(p ivect.IntVect) float64 {
-	return v.data[(p[0]-v.lo[0])+v.sy*(p[1]-v.lo[1])+v.sz*(p[2]-v.lo[2])]
-}
-
-// checkoutWorkerArenas returns one arena per worker thread for the
-// tile-parallel executors, reusing the caller's execution arena for
-// worker 0 (it holds no live allocations when these executors start).
-// Arenas beyond the first come from the default pool; checkinWorkerArenas
-// returns them. This is Table I's factor P made literal: temporary
-// storage scales with the threads actually used, and is retained for the
-// next execution rather than re-allocated.
-func checkoutWorkerArenas(threads int, ar *scratch.Arena) []*scratch.Arena {
-	ars := make([]*scratch.Arena, threads)
-	ars[0] = ar
-	for i := 1; i < threads; i++ {
-		ars[i] = scratch.Default.Checkout()
-	}
-	return ars
-}
-
-func checkinWorkerArenas(ars []*scratch.Arena) {
-	for _, a := range ars[1:] {
-		scratch.Default.Checkin(a)
-	}
-}
+// off returns the offset of the low face of the cell (xi, yi, zi), relative
+// to the cell box's low corner.
+func (v velAcc) off(xi, yi, zi int) int { return xi + v.sy*yi + v.sz*zi }
 
 // velBytes sums the storage of a velocity field.
 func velBytes(vel [3]*fab.FAB) int64 {

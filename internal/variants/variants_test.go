@@ -8,6 +8,7 @@ import (
 	"stencilsched/internal/fab"
 	"stencilsched/internal/ivect"
 	"stencilsched/internal/kernel"
+	"stencilsched/internal/perfmodel"
 	"stencilsched/internal/sched"
 )
 
@@ -160,9 +161,14 @@ func TestTempStorageOrdering(t *testing.T) {
 	if series.TempFluxBytes != want {
 		t.Errorf("series flux temp = %d, want %d", series.TempFluxBytes, want)
 	}
-	// Fused serial CLO: (1 + N + N^2) values.
-	if fused.TempFluxBytes != int64(1+16+16*16)*8 {
-		t.Errorf("fused flux temp = %d", fused.TempFluxBytes)
+	// Fused serial CLO: Table I's 2 + 2N + 2N^2 values, the depth-2
+	// carried rings of the generated runner.
+	td, err := perfmodel.TableI(sched.Variant{Family: sched.ShiftFuse}, 16, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fused.TempFluxBytes != td.FluxElems*8 {
+		t.Errorf("fused flux temp = %d, want %d", fused.TempFluxBytes, td.FluxElems*8)
 	}
 }
 
@@ -188,8 +194,7 @@ func TestExecLevelBothGranularities(t *testing.T) {
 		for i := range states {
 			states[i].Phi1.Fill(0)
 		}
-		Exec := ExecLevel(v, states, 3)
-		_ = Exec
+		ExecLevel(v, states, 3)
 		for i := range states {
 			if d, at, c := states[i].Phi1.MaxDiff(wants[i], states[i].Valid); d != 0 {
 				t.Errorf("%s box %d: diff %g at %v comp %d", name, i, d, at, c)
