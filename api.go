@@ -377,8 +377,10 @@ type CompiledTuneResult struct {
 // each, minimum kept, fastest first (per Euler step — see
 // CompiledTuneResult). A nil candidates slice tunes over every compiled
 // schedule, which makes the default sweep a joint search of the
-// (tile, K) schedule space. Compiled runners are serial within a box,
-// so Threads parallelizes across the NumBoxes boxes.
+// (tile, K) schedule space. Each candidate runs with one thread per box
+// (the series runner could split a box into z slabs, the others are
+// serial within a box), so Threads parallelizes across the NumBoxes
+// boxes.
 func AutotuneCompiled(p Problem, reps int, candidates []CompiledSchedule) ([]CompiledTuneResult, error) {
 	return AutotuneCompiledContext(context.Background(), p, reps, candidates)
 }

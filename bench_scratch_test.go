@@ -80,6 +80,8 @@ func TestSteadyStateAllocation(t *testing.T) {
 		name      string
 		checkouts uint64 // arenas per box execution
 	}{
+		{"Baseline-CLO: P>=Box", 1},
+		{"Baseline-CLI: P>=Box", 1},
 		{"Shift-Fuse: P>=Box", 1},
 		{"Shift-Fuse OT-8: P<Box", 8},
 		{"Basic-Sched OT-8: P>=Box", 8},

@@ -15,25 +15,23 @@ import (
 )
 
 // compareTriple names the schedc-compiled runner for one schedule family
-// and its counterparts: the codegen interpreter executing the same
-// schedule (the two CodeGen+ schedules only) and the hand-written
-// variant of the same family (series only: the studied Shift-Fuse and
-// overlapped-tile variants run on the generated runners themselves).
+// and the codegen interpreter executing the same schedule (the two
+// CodeGen+ schedules only). The studied variants of these families run
+// on the generated runners themselves, so no hand-written twin is left
+// to compare against.
 type compareTriple struct {
 	family      string
 	generated   string
 	interpreted string // "" when the family has no interpreter
-	handWritten string // "" when no hand-written variant runs the schedule
 }
 
-// compareTriples lists the compiled families in emission order.
+// compareTriples lists the registered compiled families in emission order.
 func compareTriples() []compareTriple {
 	return []compareTriple{
 		{
 			family:      "series",
 			generated:   "CodeGen series (generated)",
 			interpreted: "CodeGen series (interpreted)",
-			handWritten: "Baseline-CLO: P>=Box",
 		},
 		{
 			family:      "row-fused",
@@ -52,21 +50,16 @@ func compareTriples() []compareTriple {
 }
 
 // compareFamily is one row of the compare record: per-cell times for the
-// three implementations of one schedule family, plus the two derived
-// ratios the acceptance bar is stated in.
+// generated and (where one exists) interpreted execution of one schedule
+// family, plus the speedup the acceptance bar is stated in.
 type compareFamily struct {
 	Family               string  `json:"family"`
 	Generated            string  `json:"generated"`
 	Interpreted          string  `json:"interpreted,omitempty"`
-	HandWritten          string  `json:"hand_written,omitempty"`
 	GeneratedNsPerCell   float64 `json:"generated_ns_per_cell"`
 	InterpretedNsPerCell float64 `json:"interpreted_ns_per_cell,omitempty"`
-	HandWrittenNsPerCell float64 `json:"hand_written_ns_per_cell,omitempty"`
 	// SpeedupVsInterpreter is interpreted/generated per-cell time.
 	SpeedupVsInterpreter float64 `json:"speedup_vs_interpreter,omitempty"`
-	// RatioVsHandWritten is generated/hand-written per-cell time (1.10
-	// means the generated code is 10% slower).
-	RatioVsHandWritten float64 `json:"ratio_vs_hand_written,omitempty"`
 }
 
 // compareRecord is the BENCH_*.json schema of a compare run.
@@ -103,27 +96,27 @@ func timeRunner(r conform.Runner, phi0 *fab.FAB, b box.Box, reps int) (float64, 
 	return float64(best.Nanoseconds()) / float64(cells), nil
 }
 
-// runCompare benchmarks interpreter vs generated vs hand-written for
-// every compiled schedule family on one N^3 box and emits the compare
-// BENCH record. All three implementations of a family execute the same
-// schedule serially within the box, so the per-cell times isolate the
-// execution mechanism: interpreter dispatch vs compiled nest vs
-// hand-written Go.
+// runCompare benchmarks interpreter vs generated for every registered
+// compiled schedule family on one N^3 box and emits the compare BENCH
+// record. Both implementations of a family execute the same schedule
+// with one thread (the generated series runner would otherwise split its
+// passes into z slabs; the interpreter is always serial), so the
+// per-cell times isolate the execution mechanism: interpreter dispatch
+// vs compiled nest.
 func runCompare(o options) error {
 	b := box.Cube(o.n)
 	phi0, _ := kernel.NewState(b)
 	phi0.Randomize(rand.New(rand.NewSource(42)), 0.25, 1.75)
 	rec := compareRecord{Mode: "compare", BoxN: o.n, Threads: 1, Reps: o.reps}
 	t := &report.Table{
-		Title:  fmt.Sprintf("interpreter vs generated vs hand-written, N=%d, %d reps (ns/cell)", o.n, o.reps),
-		Header: []string{"family", "interpreted", "generated", "hand-written", "speedup vs interp", "vs hand-written"},
+		Title:  fmt.Sprintf("interpreter vs generated, N=%d, %d reps (ns/cell)", o.n, o.reps),
+		Header: []string{"family", "interpreted", "generated", "speedup vs interp"},
 	}
 	for _, tr := range compareTriples() {
 		cf := compareFamily{
 			Family:      tr.family,
 			Generated:   tr.generated,
 			Interpreted: tr.interpreted,
-			HandWritten: tr.handWritten,
 		}
 		measure := func(name string) (float64, error) {
 			r, ok := conform.RunnerByName(name)
@@ -136,30 +129,17 @@ func runCompare(o options) error {
 		if cf.GeneratedNsPerCell, err = measure(tr.generated); err != nil {
 			return err
 		}
-		interpCol, handCol := "-", "-"
+		interpCol, speedCol := "-", "-"
 		if tr.interpreted != "" {
 			if cf.InterpretedNsPerCell, err = measure(tr.interpreted); err != nil {
 				return err
 			}
 			cf.SpeedupVsInterpreter = cf.InterpretedNsPerCell / cf.GeneratedNsPerCell
 			interpCol = fmt.Sprintf("%.2f", cf.InterpretedNsPerCell)
-		}
-		if tr.handWritten != "" {
-			if cf.HandWrittenNsPerCell, err = measure(tr.handWritten); err != nil {
-				return err
-			}
-			cf.RatioVsHandWritten = cf.GeneratedNsPerCell / cf.HandWrittenNsPerCell
-			handCol = fmt.Sprintf("%.2f", cf.HandWrittenNsPerCell)
-		}
-		rec.Families = append(rec.Families, cf)
-		speedCol, ratioCol := "-", "-"
-		if cf.SpeedupVsInterpreter > 0 {
 			speedCol = fmt.Sprintf("%.1fx", cf.SpeedupVsInterpreter)
 		}
-		if cf.RatioVsHandWritten > 0 {
-			ratioCol = fmt.Sprintf("%.3f", cf.RatioVsHandWritten)
-		}
-		t.Add(cf.Family, interpCol, fmt.Sprintf("%.2f", cf.GeneratedNsPerCell), handCol, speedCol, ratioCol)
+		rec.Families = append(rec.Families, cf)
+		t.Add(cf.Family, interpCol, fmt.Sprintf("%.2f", cf.GeneratedNsPerCell), speedCol)
 	}
 	if err := t.Render(o.out); err != nil {
 		return err

@@ -133,6 +133,28 @@ func TestExemplarSeriesMatchesReference(t *testing.T) {
 	}
 }
 
+// TestExemplarSeriesCLIMatchesReference interprets the component-loop-
+// inside description, the one the compiled RunSeriesCLI is lowered from:
+// moving the component loop under x changes only the When, so the bits
+// stay identical.
+func TestExemplarSeriesCLIMatchesReference(t *testing.T) {
+	b := box.New(ivect.New(-2, 1, 3), ivect.New(3, 4, 6))
+	phi0, want := kernel.NewState(b)
+	phi0.Randomize(rand.New(rand.NewSource(73)), 0.5, 1.5)
+	kernel.Reference(phi0, want, b)
+
+	phi1 := fab.New(b, kernel.NComp)
+	e := &exemplarData{phi0: phi0, phi1: phi1, valid: b}
+	for d := 0; d < ivect.SpaceDim; d++ {
+		if _, err := buildFromDesc(e, SeriesDesc(d, true)).Execute(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d, at, c := phi1.MaxDiff(want, b); d != 0 {
+		t.Fatalf("series CLI codegen differs: %g at %v comp %d", d, at, c)
+	}
+}
+
 // TestExemplarFusedMatchesReference validates the shifted-and-fused
 // schedule with ring-buffer storage — the When and Where both changed, the
 // Whats untouched, the bits identical.

@@ -345,13 +345,22 @@ func faceExt(d int) [3]int {
 }
 
 // SeriesDesc describes the original series-of-loops schedule of Fig. 6
-// (component loop outside) for direction d: every statement a full pass at
-// a distinct top-level static position, full-array flux/velocity storage.
-func SeriesDesc(d int) ProgramDesc {
+// for direction d, with full-array flux/velocity storage. With the
+// component loop outside (cli false, as written in Fig. 6) every
+// statement is a full pass at a distinct top-level static position. With
+// it inside, the four passes (face averages, velocity capture, flux
+// product, accumulation) keep their own top-level positions and the
+// per-component statements of a pass share every loop level, sequenced by
+// component at the innermost static position: the component loop under x.
+func SeriesDesc(d int, cli bool) ProgramDesc {
 	faces := BoxDomainDesc(0, faceExt(d))
 	cells := BoxDomainDesc(0, [3]int{})
+	name := fmt.Sprintf("series-d%d", d)
+	if cli {
+		name = fmt.Sprintf("series-cli-d%d", d)
+	}
 	pd := ProgramDesc{
-		Name: fmt.Sprintf("series-d%d", d),
+		Name: name,
 		Dir:  d,
 		Vars: LoopVarNames(),
 		Buffers: []BufferDesc{
@@ -359,26 +368,33 @@ func SeriesDesc(d int) ProgramDesc {
 			{Name: "vel", Kind: "full", Dir: d, Comps: 1},
 		},
 	}
-	pos := 0
-	next := func() int { pos++; return pos - 1 }
+	// at schedules pass p's statement for component c.
+	seq := 0
+	at := func(p, c int) ScheduleDesc {
+		if cli {
+			return ScatterDesc(3, p, 0, 0, max(c, 0))
+		}
+		seq++
+		return ScatterDesc(3, seq-1, 0, 0, 0)
+	}
 	for c := 0; c < kernel.NComp; c++ {
 		pd.Stmts = append(pd.Stmts, StmtDesc{
 			Name: "flux1", Macro: "flux1", Dir: d, Comp: c, Bufs: []string{"flux"},
-			Domain: faces, Sched: ScatterDesc(3, next(), 0, 0, 0),
+			Domain: faces, Sched: at(0, c),
 		})
 	}
 	pd.Stmts = append(pd.Stmts, StmtDesc{
 		Name: "vel", Macro: "vel", Dir: d, Comp: -1, Bufs: []string{"flux", "vel"},
-		Domain: faces, Sched: ScatterDesc(3, next(), 0, 0, 0),
+		Domain: faces, Sched: at(1, -1),
 	})
 	for c := 0; c < kernel.NComp; c++ {
 		pd.Stmts = append(pd.Stmts, StmtDesc{
 			Name: "flux2", Macro: "flux2", Dir: d, Comp: c, Bufs: []string{"vel", "flux"},
-			Domain: faces, Sched: ScatterDesc(3, next(), 0, 0, 0),
+			Domain: faces, Sched: at(2, c),
 		})
 		pd.Stmts = append(pd.Stmts, StmtDesc{
 			Name: "acc", Macro: "acc", Dir: d, Comp: c, Bufs: []string{"flux"},
-			Domain: cells, Sched: ScatterDesc(3, next(), 0, 0, 0),
+			Domain: cells, Sched: at(3, c),
 		})
 	}
 	return pd

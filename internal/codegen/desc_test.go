@@ -37,7 +37,7 @@ func TestBoxDomainDescBindMatchesDomainOf(t *testing.T) {
 // stored and diffed as data.
 func TestDescJSONRoundTrip(t *testing.T) {
 	for d := 0; d < 3; d++ {
-		for _, pd := range []ProgramDesc{SeriesDesc(d), RowFusedDesc(d)} {
+		for _, pd := range []ProgramDesc{SeriesDesc(d, false), SeriesDesc(d, true), RowFusedDesc(d)} {
 			data, err := json.Marshal(pd)
 			if err != nil {
 				t.Fatal(err)
@@ -58,13 +58,24 @@ func TestDescJSONRoundTrip(t *testing.T) {
 // row-fused accumulation carries its +1 shift at the fused level.
 func TestDescSchedulesAreScatterForm(t *testing.T) {
 	for d := 0; d < 3; d++ {
-		for _, pd := range []ProgramDesc{SeriesDesc(d), RowFusedDesc(d)} {
+		for _, pd := range []ProgramDesc{SeriesDesc(d, false), SeriesDesc(d, true), RowFusedDesc(d)} {
 			if len(pd.Stmts) != 3*kernel.NComp+1 {
 				t.Fatalf("%s: %d statements", pd.Name, len(pd.Stmts))
 			}
 			for _, st := range pd.Stmts {
 				if err := st.Sched.ScatterForm(3); err != nil {
 					t.Errorf("%s/%s: %v", pd.Name, st.Name, err)
+				}
+			}
+		}
+		// CLI: every statement of a pass shares the pass's top-level
+		// position and the whole nest, sequenced by component innermost.
+		for _, st := range SeriesDesc(d, true).Stmts {
+			pass := map[string]int{"flux1": 0, "vel": 1, "flux2": 2, "acc": 3}[st.Macro]
+			want := []int{pass, 0, 0, max(st.Comp, 0)}
+			for lvl, p := range want {
+				if got := st.Sched.Pos(lvl); got != p {
+					t.Errorf("d=%d CLI %s c%d: position %d = %d, want %d", d, st.Name, st.Comp, lvl, got, p)
 				}
 			}
 		}

@@ -138,7 +138,7 @@ func fusedLevel(d int) int { return map[int]int{0: 2, 1: 1, 2: 0}[d] }
 // top-level static position. The schedule comes from SeriesDesc — the same
 // serializable description the schedule compiler lowers to Go source.
 func BuildSeries(e *exemplarData, d int) *Program {
-	return buildFromDesc(e, SeriesDesc(d))
+	return buildFromDesc(e, SeriesDesc(d, false))
 }
 
 // BuildRowFused expresses the shifted-and-fused schedule for direction d:

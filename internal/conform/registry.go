@@ -29,7 +29,8 @@ type Runner struct {
 	// which execute serially regardless of the thread argument.
 	Interpreted bool
 	// Generated marks the schedc-compiled runners (package
-	// internal/variants/generated), also serial within the box.
+	// internal/variants/generated). Only the series runner honours the
+	// thread argument (z slabs within the box); the others run serially.
 	Generated bool
 	// TemporalK > 0 marks a temporal-blocking runner fusing that many
 	// Euler steps per sweep, which changes the contract: phi0 must cover

@@ -9,14 +9,15 @@ import (
 
 // Families returns every schedule family the compiler ships generated
 // code for: the two CodeGen+ exemplar schedules (series and row-fused,
-// from the same descriptions the interpreter executes), two of the
-// hand-written families re-derived from declarative descriptions
-// (Shift-Fuse serial and the overlapped-tile Basic-Sched OT, registered
-// at edge 16), and the temporal-blocking families. Each family is one
-// emitted runner; a tiled runner takes its tile edge as an argument and
-// the registered edges are bound in entries.gen.go. All run serially
-// within the box — the P>=Box granularity, whose parallelism is across
-// boxes.
+// from the same descriptions the interpreter executes), the series
+// schedule with the component loop inside (unregistered: it runs the
+// Baseline-CLI variants), the Shift-Fuse and overlapped-tile Basic-Sched
+// OT schedules (OT registered at edge 16), and the temporal-blocking
+// families. Each family is one emitted runner; a tiled runner takes its
+// tile edge as an argument and the registered edges are bound in
+// entries.gen.go. The series runners split their passes into z slabs
+// over threads (see Family.zSlabs); the others run serially within the
+// box, their parallelism being across boxes.
 func Families() []Family {
 	series := Family{
 		Entries:  []Entry{{Name: "CodeGen series (generated)"}},
@@ -26,6 +27,14 @@ func Families() []Family {
 			"component loop outside) compiled from codegen.SeriesDesc: every\n" +
 			"statement a full pass over its face or cell box, with full-array\n" +
 			"flux and velocity temporaries from the scratch arena.",
+	}
+	seriesCLI := Family{
+		FuncName: "RunSeriesCLI",
+		FileName: "series_cli.gen.go",
+		Comment: "RunSeriesCLI executes the series-of-loops schedule with the\n" +
+			"component loop inside, compiled from codegen.SeriesDesc: the\n" +
+			"same four full passes per direction as RunSeries, each sweeping\n" +
+			"all components under the x loop.",
 	}
 	rowfused := Family{
 		Entries:  []Entry{{Name: "CodeGen row-fused (generated)"}},
@@ -38,11 +47,13 @@ func Families() []Family {
 			"or plane per parity — Table I's shrunken temporaries).",
 	}
 	for d := 0; d < 3; d++ {
-		series.Progs = append(series.Progs, codegen.SeriesDesc(d))
+		series.Progs = append(series.Progs, codegen.SeriesDesc(d, false))
+		seriesCLI.Progs = append(seriesCLI.Progs, codegen.SeriesDesc(d, true))
 		rowfused.Progs = append(rowfused.Progs, codegen.RowFusedDesc(d))
 	}
 	fams := []Family{
 		series,
+		seriesCLI,
 		rowfused,
 		{
 			Entries:  []Entry{{Name: "Shift-Fuse (generated)"}},

@@ -2,10 +2,12 @@ package schedc
 
 import (
 	"fmt"
+	"regexp"
 	"sort"
 	"strings"
 
 	"stencilsched/internal/codegen"
+	"stencilsched/internal/kernel"
 	"stencilsched/internal/poly"
 )
 
@@ -175,7 +177,10 @@ func (e *emitter) emitNest(group []*loweredStmt, level int, ind string) {
 		inner := bind + "\t"
 		e.printf("%s%sHi := %s\n", inner, v, hi)
 		body := inner + "\t"
-		if level == nvars-1 {
+		switch {
+		case level == 0 && e.zSlabs:
+			e.emitSlabbed(p.members, v, lo, inner)
+		case level == nvars-1:
 			// Innermost loop: emit its body into a side buffer while the
 			// hoist set collects the row-invariant parts of every index
 			// expression, then place those as locals above the loop —
@@ -193,7 +198,8 @@ func (e *emitter) emitNest(group []*loweredStmt, level int, ind string) {
 			e.hoist = nil
 			e.printf("%sfor %s := %s; %s <= %sHi; %s {\n", inner, v, lo, v, v, step)
 			e.b.WriteString(sub.String())
-		} else {
+			e.printf("%s}\n", inner)
+		default:
 			e.printf("%sfor %s := %s; %s <= %sHi; %s {\n", inner, v, lo, v, v, step)
 			// Tile-local storage: allocated once all tile-origin loops are
 			// entered, released per iteration of the innermost tile loop.
@@ -202,14 +208,78 @@ func (e *emitter) emitNest(group []*loweredStmt, level int, ind string) {
 			if rewind != "" {
 				e.printf("%s%s\n", body, rewind)
 			}
+			e.printf("%s}\n", inner)
 		}
-		e.printf("%s}\n", inner)
 		e.printf("%s}\n", bind)
 		if len(hoisted) > 0 {
 			e.printf("%s}\n", ind)
 		}
 	}
 }
+
+// emitSlabbed emits a top-level loop over v (the z axis) from lo to the
+// vHi local, run as one serial loop when threads <= 1 and split into
+// contiguous slabs by parallel.ForChunked otherwise, whose return is the
+// join before the next nest. The loop body is emitted once and placed in
+// both branches: the serial path stays a plain loop, with no closure to
+// allocate.
+func (e *emitter) emitSlabbed(members []*loweredStmt, v, lo, ind string) {
+	sub := new(strings.Builder)
+	saved := e.b
+	e.b = sub
+	e.emitNest(members, 1, ind+"\t\t")
+	e.b = saved
+	body := sub.String()
+	e.printf("%s%sLo := %s\n", ind, v, lo)
+	e.printf("%sif threads <= 1 {\n", ind)
+	e.printf("%s\tfor %s := %sLo; %s <= %sHi; %s++ {\n", ind, v, v, v, v, v)
+	e.b.WriteString(body)
+	e.printf("%s\t}\n", ind)
+	e.printf("%s} else {\n", ind)
+	e.printf("%s\tparallel.ForChunked(threads, %sHi-%sLo+1, func(_, from, to int) {\n", ind, v, v)
+	// A captured variable lives in the closure's context and is reloaded
+	// from memory after every store to a temporary; re-declaring the ones
+	// the body reads as closure locals keeps them in registers, as on the
+	// serial path.
+	if used := e.capturedIn(body); len(used) > 0 {
+		list := strings.Join(used, ", ")
+		e.printf("%s\t\t%s := %s\n", ind, list, list)
+	}
+	e.printf("%s\t\tfor %s := %sLo + from; %s < %sLo+to; %s++ {\n", ind, v, v, v, v, v)
+	e.b.WriteString(body) // gofmt re-indents the copy
+	e.printf("%s\t\t}\n", ind)
+	e.printf("%s\t})\n", ind)
+	e.printf("%s}\n", ind)
+}
+
+// capturedIn returns the runner- and program-level locals that src
+// reads, in declaration order: the box corners, phi0/phi1 geometry and
+// component slices of the runner prelude (EmitRunner), and the program's
+// buffers with their full-array stride locals (z-slab programs have no
+// other storage).
+func (e *emitter) capturedIn(src string) []string {
+	names := append(e.prog.ParamNames(), "g0", "g1", "s0y", "s0z", "s1y", "s1z")
+	for c := 0; c < kernel.NComp; c++ {
+		names = append(names, fmt.Sprintf("p0_%d", c), fmt.Sprintf("p1_%d", c))
+	}
+	for _, name := range bufOrder(e.prog) {
+		bi := e.bufs[name]
+		names = append(names, name, bi.sy, bi.sz, bi.sc)
+	}
+	idents := map[string]bool{}
+	for _, id := range identRE.FindAllString(src, -1) {
+		idents[id] = true
+	}
+	var used []string
+	for _, name := range names {
+		if idents[name] {
+			used = append(used, name)
+		}
+	}
+	return used
+}
+
+var identRE = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
 
 // sharedGuards removes and returns the guard conditions held by every
 // member of a group whose bound variables are in scope outside level —

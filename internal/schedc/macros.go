@@ -17,6 +17,8 @@ type emitter struct {
 	// expressions while the innermost loop body is emitted into a side
 	// buffer; the collected declarations are placed just above the loop.
 	hoist *hoistSet
+	// zSlabs splits every top-level z loop over threads (Family.zSlabs).
+	zSlabs bool
 }
 
 func (e *emitter) printf(format string, args ...any) {

@@ -27,7 +27,8 @@
 //     storage mappings (Where).
 //
 // The emitted code depends only on the same packages the hand-written
-// variants use (fab, box, kernel, scratch) and funnels every flux
+// variants use (fab, box, kernel, scratch, and parallel for the runners
+// that split their nests into z slabs) and funnels every flux
 // through kernel.FaceAvg/kernel.Flux2 with the per-cell x, y, z
 // accumulation order, so generated runners are bit-identical to
 // kernel.Reference — the same conformance contract every hand-written
@@ -74,6 +75,33 @@ type Entry struct {
 
 // tiled reports whether the family's runner takes the tile-edge argument.
 func (f Family) tiled() bool { return f.Progs[0].Tiled }
+
+// zSlabs reports whether the runner splits the outer z loop of every
+// top-level nest into slabs over threads, joining between nests: legal
+// for an untiled family with only full-array buffers and unshifted
+// statements, whose instances at plane z write only plane z and read
+// other planes (acc's z+1 face) only from earlier nests. Ring storage and
+// shifted statements carry values across the planes of one nest.
+func (f Family) zSlabs() bool {
+	if f.tiled() {
+		return false
+	}
+	for _, pd := range f.Progs {
+		for _, b := range pd.Buffers {
+			if b.Kind != "full" {
+				return false
+			}
+		}
+		for _, st := range pd.Stmts {
+			for lvl := 0; lvl < st.Sched.Levels(); lvl++ {
+				if st.Sched.ShiftOf(lvl) != 0 {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
 
 // axisOf maps a loop-variable name to its spatial axis: x/tx are axis 0,
 // y/ty axis 1, z/tz axis 2.

@@ -9,7 +9,10 @@
 // Each schedule structure is emitted once. Tiled runners (RunOT and the
 // RunTemporalK* sweeps) take the tile edge E as a trailing argument, with
 // E <= 0 meaning one whole-box tile; Entries binds the registered edges
-// with bindEdge, so every entry has the same registry signature.
+// with bindEdge, so every entry has the same registry signature. The
+// series runners (RunSeries, and the unregistered RunSeriesCLI that runs
+// the Baseline-CLI variants) split each pass into z slabs over threads;
+// every other runner is serial within the box.
 package generated
 
 //go:generate go run stencilsched/cmd/schedgen -out .
@@ -20,9 +23,10 @@ import (
 )
 
 // Entry is one compiled schedule runner, under the same contract as a
-// conformance-registry runner: phi0 covers the ghosted valid box, the
-// flux divergence accumulates into phi1 over valid, and execution is
-// serial within the box regardless of threads.
+// conformance-registry runner: phi0 covers the ghosted valid box, and
+// the flux divergence accumulates into phi1 over valid, bitwise the same
+// for every threads. Only the series runner uses threads (z slabs); the
+// others are serial within the box regardless of it.
 //
 // TemporalK > 0 marks a temporal-blocking runner fusing that many Euler
 // steps per sweep, which changes the contract: phi0 must cover valid

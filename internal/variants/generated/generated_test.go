@@ -119,6 +119,39 @@ func TestEntriesBitwiseEqualReference(t *testing.T) {
 	}
 }
 
+// TestSeriesRunnersZSlabs calls both series runners, which split each
+// pass into z slabs, at several thread counts — including more threads
+// than the box has z planes — and checks every run bitwise against
+// kernel.Reference.
+func TestSeriesRunnersZSlabs(t *testing.T) {
+	boxes := []box.Box{
+		box.NewSized(ivect.New(0, 0, 0), ivect.New(6, 5, 1)),
+		box.NewSized(ivect.New(2, -1, 4), ivect.New(6, 5, 2)),
+		box.NewSized(ivect.New(-3, 5, 2), ivect.New(9, 7, 11)), // non-cubic, shifted
+		box.Cube(32),
+	}
+	runners := []struct {
+		name string
+		run  func(phi0, phi1 *fab.FAB, valid box.Box, threads int) error
+	}{{"RunSeries", RunSeries}, {"RunSeriesCLI", RunSeriesCLI}}
+	for bi, b := range boxes {
+		phi0, want := kernel.NewState(b)
+		phi0.Randomize(rand.New(rand.NewSource(int64(700+bi))), 0.25, 1.75)
+		kernel.Reference(phi0, want, b)
+		for _, r := range runners {
+			for _, threads := range []int{1, 2, 3, 8} {
+				phi1 := fab.New(b, kernel.NComp)
+				if err := r.run(phi0, phi1, b, threads); err != nil {
+					t.Fatalf("box %v, %s threads=%d: %v", b, r.name, threads, err)
+				}
+				if d, at, c := phi1.MaxDiff(want, b); d != 0 {
+					t.Errorf("box %v, %s threads=%d: diff %g at %v comp %d", b, r.name, threads, d, at, c)
+				}
+			}
+		}
+	}
+}
+
 // temporalDelta composes kernel.Reference k times on shrinking regions
 // (the wavefront in time) and returns the K-step delta state_k - phi0
 // over valid — the oracle for the temporal-blocking runners, built here

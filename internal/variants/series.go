@@ -6,204 +6,8 @@ import (
 	"stencilsched/internal/ivect"
 	"stencilsched/internal/kernel"
 	"stencilsched/internal/parallel"
-	"stencilsched/internal/sched"
 	"stencilsched/internal/scratch"
 )
-
-// execSeries runs the original exemplar schedule of Figure 6: for each
-// direction, a full pass of fourth-order face averages into a box-sized
-// flux temporary, a velocity capture, a flux scaling pass, and an
-// accumulation pass. Within-box parallelism (P<Box) splits every spatial
-// loop over z slabs, the paper's "z-slices within a box" granularity.
-//
-// comp selects the component-loop placement: CLO keeps the component loop
-// around the spatial loops exactly as written in Figure 6; CLI moves it
-// innermost, under the x loop.
-func execSeries(s *state, comp sched.CompLoop, threads int, ar *scratch.Arena) Stats {
-	stats := Stats{UniqueFaces: uniqueFaces(s.valid)}
-	stats.FacesEvaluated = stats.UniqueFaces
-	// Directions are independent: rewind the arena each direction so the
-	// retained peak is one direction's flux+velocity, matching the
-	// transient footprint of the allocating version.
-	base := ar.Mark()
-	for dir := 0; dir < ivect.SpaceDim; dir++ {
-		ar.Rewind(base)
-		faces := s.valid.SurroundingFaces(dir)
-		flux := ar.FAB(faces, kernel.NComp)
-		velocity := ar.FAB(faces, 1)
-		if b := flux.Bytes() + velocity.Bytes(); b > stats.TempFluxBytes+stats.TempVelBytes {
-			stats.TempFluxBytes = flux.Bytes()
-			stats.TempVelBytes = velocity.Bytes()
-		}
-
-		fy, fz, fc := flux.Strides()
-		sd := s.str0[dir]
-		nzF := faces.Size()[2]
-
-		// Pass 1: face averages for every component (EvalFlux1). The slab
-		// bodies live in named functions (below) so the serial case — every
-		// P>=Box box and every overlapped tile — calls them directly; the
-		// closures that feed ForChunked would otherwise heap-allocate on
-		// each pass of the steady-state hot path.
-		if comp == sched.CLO {
-			for c := 0; c < kernel.NComp; c++ {
-				ph := s.comp0(c)
-				out := flux.Comp(c)
-				if threads == 1 {
-					seriesFaceAvgSlabs(s, out, ph, faces, fy, fz, sd, 0, nzF)
-				} else {
-					parallel.ForChunked(threads, nzF, func(_, zlo, zhi int) {
-						seriesFaceAvgSlabs(s, out, ph, faces, fy, fz, sd, zlo, zhi)
-					})
-				}
-			}
-		} else {
-			fluxData := flux.Data()
-			phiData := s.phi0.Data()
-			if threads == 1 {
-				seriesFaceAvgSlabsCLI(s, fluxData, phiData, faces, fy, fz, fc, sd, 0, nzF)
-			} else {
-				parallel.ForChunked(threads, nzF, func(_, zlo, zhi int) {
-					seriesFaceAvgSlabsCLI(s, fluxData, phiData, faces, fy, fz, fc, sd, zlo, zhi)
-				})
-			}
-		}
-
-		// Velocity capture (Fig. 6 line 11) before any face is overwritten.
-		velocity.CopyFromShifted(flux, faces, ivect.Zero, kernel.VelComp(dir), 0, 1)
-		vData := velocity.Comp(0)
-
-		// Pass 2: flux product (EvalFlux2) and accumulation, per Figure 6
-		// with the component loop outside; CLI fuses the component loop
-		// into the spatial loops of both steps.
-		cells := s.valid
-		nzC := cells.Size()[2]
-		fdir := fluxDirStride(dir, fy, fz)
-		if comp == sched.CLO {
-			for c := 0; c < kernel.NComp; c++ {
-				out := flux.Comp(c)
-				if threads == 1 {
-					seriesScaleSlabs(out, vData, faces, fy, fz, 0, nzF)
-				} else {
-					parallel.ForChunked(threads, nzF, func(_, zlo, zhi int) {
-						seriesScaleSlabs(out, vData, faces, fy, fz, zlo, zhi)
-					})
-				}
-				dst := s.comp1(c)
-				fd := flux.Comp(c)
-				if threads == 1 {
-					seriesAccumSlabs(s, dst, fd, cells, faces, fy, fz, fdir, 0, nzC)
-				} else {
-					parallel.ForChunked(threads, nzC, func(_, zlo, zhi int) {
-						seriesAccumSlabs(s, dst, fd, cells, faces, fy, fz, fdir, zlo, zhi)
-					})
-				}
-			}
-		} else {
-			fluxData := flux.Data()
-			phi1Data := s.phi1.Data()
-			if threads == 1 {
-				seriesScaleSlabsCLI(fluxData, vData, faces, fy, fz, fc, 0, nzF)
-				seriesAccumSlabsCLI(s, phi1Data, fluxData, cells, faces, fy, fz, fc, fdir, 0, nzC)
-			} else {
-				parallel.ForChunked(threads, nzF, func(_, zlo, zhi int) {
-					seriesScaleSlabsCLI(fluxData, vData, faces, fy, fz, fc, zlo, zhi)
-				})
-				parallel.ForChunked(threads, nzC, func(_, zlo, zhi int) {
-					seriesAccumSlabsCLI(s, phi1Data, fluxData, cells, faces, fy, fz, fc, fdir, zlo, zhi)
-				})
-			}
-		}
-	}
-	return stats
-}
-
-// seriesFaceAvgSlabs computes one component's face averages (EvalFlux1)
-// into out for z slabs [zlo, zhi) of faces.
-func seriesFaceAvgSlabs(s *state, out, ph []float64, faces box.Box, fy, fz, sd, zlo, zhi int) {
-	for zi := zlo; zi < zhi; zi++ {
-		for y := faces.Lo[1]; y <= faces.Hi[1]; y++ {
-			src := s.off0(ivect.New(faces.Lo[0], y, faces.Lo[2]+zi))
-			dst := (y-faces.Lo[1])*fy + zi*fz
-			for x := 0; x <= faces.Hi[0]-faces.Lo[0]; x++ {
-				out[dst+x] = kernel.FaceAvg(ph, src+x, sd)
-			}
-		}
-	}
-}
-
-// seriesFaceAvgSlabsCLI is seriesFaceAvgSlabs with the component loop
-// innermost, writing all components of the flux array.
-func seriesFaceAvgSlabsCLI(s *state, fluxData, phiData []float64, faces box.Box, fy, fz, fc, sd, zlo, zhi int) {
-	for zi := zlo; zi < zhi; zi++ {
-		for y := faces.Lo[1]; y <= faces.Hi[1]; y++ {
-			src := s.off0(ivect.New(faces.Lo[0], y, faces.Lo[2]+zi))
-			dst := (y-faces.Lo[1])*fy + zi*fz
-			for x := 0; x <= faces.Hi[0]-faces.Lo[0]; x++ {
-				for c := 0; c < kernel.NComp; c++ {
-					fluxData[dst+x+c*fc] = kernel.FaceAvg(phiData[c*s.sc0:(c+1)*s.sc0], src+x, sd)
-				}
-			}
-		}
-	}
-}
-
-// seriesScaleSlabs applies the flux product (EvalFlux2) in place to one
-// component for z slabs [zlo, zhi) of faces.
-func seriesScaleSlabs(out, vData []float64, faces box.Box, fy, fz, zlo, zhi int) {
-	for zi := zlo; zi < zhi; zi++ {
-		for y := faces.Lo[1]; y <= faces.Hi[1]; y++ {
-			off := (y-faces.Lo[1])*fy + zi*fz
-			for x := 0; x <= faces.Hi[0]-faces.Lo[0]; x++ {
-				out[off+x] = kernel.Flux2(vData[off+x], out[off+x])
-			}
-		}
-	}
-}
-
-// seriesScaleSlabsCLI is seriesScaleSlabs with the component loop innermost.
-func seriesScaleSlabsCLI(fluxData, vData []float64, faces box.Box, fy, fz, fc, zlo, zhi int) {
-	for zi := zlo; zi < zhi; zi++ {
-		for y := faces.Lo[1]; y <= faces.Hi[1]; y++ {
-			off := (y-faces.Lo[1])*fy + zi*fz
-			for x := 0; x <= faces.Hi[0]-faces.Lo[0]; x++ {
-				v := vData[off+x]
-				for c := 0; c < kernel.NComp; c++ {
-					fluxData[off+x+c*fc] = kernel.Flux2(v, fluxData[off+x+c*fc])
-				}
-			}
-		}
-	}
-}
-
-// seriesAccumSlabs accumulates one component's flux difference into phi1
-// for z slabs [zlo, zhi) of cells.
-func seriesAccumSlabs(s *state, dst, fd []float64, cells, faces box.Box, fy, fz, fdir, zlo, zhi int) {
-	for zi := zlo; zi < zhi; zi++ {
-		for y := cells.Lo[1]; y <= cells.Hi[1]; y++ {
-			fOff := (y-cells.Lo[1])*fy + (zi+cells.Lo[2]-faces.Lo[2])*fz
-			pOff := s.off1(ivect.New(cells.Lo[0], y, cells.Lo[2]+zi))
-			for x := 0; x <= cells.Hi[0]-cells.Lo[0]; x++ {
-				dst[pOff+x] += fd[fOff+x+fdir] - fd[fOff+x]
-			}
-		}
-	}
-}
-
-// seriesAccumSlabsCLI is seriesAccumSlabs with the component loop innermost.
-func seriesAccumSlabsCLI(s *state, phi1Data, fluxData []float64, cells, faces box.Box, fy, fz, fc, fdir, zlo, zhi int) {
-	for zi := zlo; zi < zhi; zi++ {
-		for y := cells.Lo[1]; y <= cells.Hi[1]; y++ {
-			fOff := (y-cells.Lo[1])*fy + (zi+cells.Lo[2]-faces.Lo[2])*fz
-			pOff := s.off1(ivect.New(cells.Lo[0], y, cells.Lo[2]+zi))
-			for x := 0; x <= cells.Hi[0]-cells.Lo[0]; x++ {
-				for c := 0; c < kernel.NComp; c++ {
-					phi1Data[pOff+x+c*s.sc1] += fluxData[fOff+x+fdir+c*fc] - fluxData[fOff+x+c*fc]
-				}
-			}
-		}
-	}
-}
 
 // fluxDirStride returns the stride between a cell's low and high face in
 // the flux array for direction dir, given the flux array's y and z strides.
@@ -250,20 +54,12 @@ func execSeriesNoVelTemp(s *state, threads int, ar *scratch.Arena) Stats {
 		nzF := faces.Size()[2]
 		vc := kernel.VelComp(dir)
 
-		// Pass 1 unchanged: all face averages.
+		// Pass 1 unchanged: all face averages (the velocity pre-pass body
+		// computes exactly one component's).
 		for c := 0; c < kernel.NComp; c++ {
-			ph := s.comp0(c)
-			out := flux.Comp(c)
+			ph, out := s.comps0[c], flux.Comp(c)
 			parallel.ForChunked(threads, nzF, func(_, zlo, zhi int) {
-				for zi := zlo; zi < zhi; zi++ {
-					for y := faces.Lo[1]; y <= faces.Hi[1]; y++ {
-						src := s.off0(ivect.New(faces.Lo[0], y, faces.Lo[2]+zi))
-						dst := (y-faces.Lo[1])*fy + zi*fz
-						for x := 0; x <= faces.Hi[0]-faces.Lo[0]; x++ {
-							out[dst+x] = kernel.FaceAvg(ph, src+x, sd)
-						}
-					}
-				}
+				velSlabs(s, out, ph, faces, fy, fz, sd, zlo, zhi)
 			})
 		}
 
@@ -297,7 +93,7 @@ func execSeriesNoVelTemp(s *state, threads int, ar *scratch.Arena) Stats {
 		cells := s.valid
 		fdir := fluxDirStride(dir, fy, fz)
 		for c := 0; c < kernel.NComp; c++ {
-			dst := s.comp1(c)
+			dst := s.comps1[c]
 			fd := flux.Comp(c)
 			parallel.ForChunked(threads, cells.Size()[2], func(_, zlo, zhi int) {
 				for zi := zlo; zi < zhi; zi++ {

@@ -9,8 +9,9 @@
 // (package generated); the rest are hand-written. The files of this
 // package mirror Section IV:
 //
-//	series.go     — IV-A, the original series of modular loops
-//	                (hand-written, both component-loop placements)
+//	series.go     — IV-A, the no-velocity-temporary ablation of the
+//	                series of modular loops (the studied series variants
+//	                are generated.RunSeries and generated.RunSeriesCLI)
 //	blockedwf.go  — IV-B/IV-C, the fused tile body in tile wavefronts: the
 //	                Blocked WF variants, the per-cell wavefront of
 //	                Shift-Fuse P<Box (1^3 tiles) and Shift-Fuse-CLI P>=Box
@@ -73,7 +74,12 @@ var statePool = sync.Pool{New: func() any { return new(state) }}
 // and phi1 must cover valid; results accumulate into phi1, exactly like
 // kernel.Reference. threads is the within-box thread count and is honored
 // only by P<Box variants; P>=Box variants run the box serially (their
-// parallelism is across boxes — see ExecLevel).
+// parallelism is across boxes — see ExecLevel). Series variants run
+// generated.RunSeries (CLO) or generated.RunSeriesCLI (CLI), which split
+// each pass into z slabs over threads; Shift-Fuse-CLO P>=Box runs
+// generated.RunShiftFuse; overlapped tiles run a generated runner per
+// tile; the remaining fused variants run the hand-written tile body in
+// wavefronts.
 //
 // Temporary storage (flux and velocity arrays, carried caches) comes
 // from arenas checked out of scratch.Default around the box execution,
@@ -90,6 +96,13 @@ func Exec(v sched.Variant, phi0, phi1 *fab.FAB, valid box.Box, threads int) Stat
 	threads = parallel.Threads(threads)
 	var stats Stats
 	switch {
+	case v.Family == sched.Series:
+		run := generated.RunSeries
+		if v.Comp == sched.CLI {
+			run = generated.RunSeriesCLI
+		}
+		mustRun(run(phi0, phi1, valid, threads))
+		stats = generatedStats(sched.BasicSched, valid)
 	case v.Family == sched.ShiftFuse && v.Par == sched.OverBoxes && v.Comp == sched.CLO:
 		mustRun(generated.RunShiftFuse(phi0, phi1, valid, 1))
 		stats = generatedStats(sched.FusedSched, valid)
@@ -102,10 +115,10 @@ func Exec(v sched.Variant, phi0, phi1 *fab.FAB, valid box.Box, threads int) Stat
 	return stats
 }
 
-// execHandWritten runs the hand-written executors: the series family and
-// the fused tile body in wavefronts. Only these hold an arena of Exec's
-// own; the generated runners check out theirs, and holding an idle one
-// beside it would double the retained scratch.
+// execHandWritten runs the one hand-written executor, the fused tile
+// body in wavefronts. Only it holds an arena of Exec's own; the generated
+// runners check out theirs, and holding an idle one beside it would
+// double the retained scratch.
 func execHandWritten(v sched.Variant, phi0, phi1 *fab.FAB, valid box.Box, threads int) Stats {
 	st := statePool.Get().(*state)
 	st.init(phi0, phi1, valid)
@@ -116,8 +129,6 @@ func execHandWritten(v sched.Variant, phi0, phi1 *fab.FAB, valid box.Box, thread
 	ar := scratch.Default.Checkout()
 	defer scratch.Default.Checkin(ar)
 	switch v.Family {
-	case sched.Series:
-		return execSeries(st, v.Comp, threads, ar)
 	case sched.ShiftFuse:
 		// The per-cell wavefront of P<Box is the blocked wavefront at 1^3
 		// tiles; the serial P>=Box sweep is one whole-box tile.
@@ -240,11 +251,8 @@ type state struct {
 	valid box.Box
 	phi0  *fab.FAB
 	phi1  *fab.FAB
-	// per-direction strides of phi0's layout (x is unit stride)
-	str0 [3]int
-	sc0  int // component stride of phi0
-	str1 [3]int
-	sc1  int
+	// per-direction strides of phi0's and phi1's layouts (x is unit stride)
+	str0, str1 [3]int
 	// comps0 and comps1 cache the single-component slices of phi0 and
 	// phi1, so the fused executors can take per-component slice tables
 	// (comps0[cLo:cHi]) without allocating inside tile loops.
@@ -255,15 +263,13 @@ type state struct {
 // init fills s for one box execution; states are pooled and re-initialized
 // rather than re-allocated.
 func (s *state) init(phi0, phi1 *fab.FAB, valid box.Box) {
-	s0y, s0z, s0c := phi0.Strides()
-	s1y, s1z, s1c := phi1.Strides()
+	s0y, s0z, _ := phi0.Strides()
+	s1y, s1z, _ := phi1.Strides()
 	s.valid = valid
 	s.phi0 = phi0
 	s.phi1 = phi1
 	s.str0 = [3]int{1, s0y, s0z}
-	s.sc0 = s0c
 	s.str1 = [3]int{1, s1y, s1z}
-	s.sc1 = s1c
 	for c := 0; c < kernel.NComp; c++ {
 		s.comps0[c] = phi0.Comp(c)
 		s.comps1[c] = phi1.Comp(c)
@@ -287,10 +293,6 @@ func (s *state) off1(p ivect.IntVect) int {
 	lo := s.phi1.Box().Lo
 	return (p[0] - lo[0]) + s.str1[1]*(p[1]-lo[1]) + s.str1[2]*(p[2]-lo[2])
 }
-
-// comp0 and comp1 return single-component slices.
-func (s *state) comp0(c int) []float64 { return s.comps0[c] }
-func (s *state) comp1(c int) []float64 { return s.comps1[c] }
 
 // uniqueFaces returns the number of distinct faces of box b summed over
 // directions.
@@ -317,7 +319,7 @@ func velocityField(s *state, region box.Box, threads int, ar *scratch.Arena) [3]
 		v := ar.FAB(faces, 1)
 		out := v.Comp(0)
 		vy, vz, _ := v.Strides()
-		ph := s.comp0(kernel.VelComp(d))
+		ph := s.comps0[kernel.VelComp(d)]
 		sd := s.str0[d]
 		nz := faces.Size()[2]
 		if threads <= 1 {
